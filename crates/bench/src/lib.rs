@@ -68,12 +68,10 @@ pub fn duplicate_heavy_corpus() -> Vec<webtable_tables::Table> {
 /// Fig. 7 80% claim) targets. Cached and uncached runs both use this
 /// profile, so the comparison is apples-to-apples.
 pub fn batch_annotator() -> Annotator {
-    let f = fixture();
-    Annotator::with_segmented_index(
-        Arc::clone(&f.annotator.catalog),
-        Arc::clone(&f.annotator.index),
-    )
-    .with_config(webtable_core::AnnotatorConfig { type_k: 16, ..Default::default() })
+    fixture()
+        .annotator
+        .clone()
+        .with_config(webtable_core::AnnotatorConfig { type_k: 16, ..Default::default() })
 }
 
 #[cfg(test)]

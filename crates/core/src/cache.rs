@@ -5,8 +5,9 @@
 //! the regime §6.1.2's 25M-table run targets). The per-table memo in
 //! [`crate::candidates`] dedups within a single table; this module adds the
 //! corpus-level layer: a sharded, capacity-bounded LRU from normalized cell
-//! text to [`CellCandidates`], shared by every worker of
-//! [`Annotator::annotate_batch`](crate::pipeline::Annotator::annotate_batch).
+//! text to [`CellCandidates`], shared by every worker of one
+//! [`Annotator::run`](crate::pipeline::Annotator::run) request (or across
+//! requests via [`AnnotateRequest::shared_cache`](crate::AnnotateRequest::shared_cache)).
 //!
 //! Correctness is by construction: a cached value is exactly the value the
 //! uncached path would compute (candidate generation is a pure function of

@@ -56,15 +56,11 @@ pub struct AnnotatorConfig {
     /// query, as a multiple of the requested `k` (floor of 16). Higher
     /// trades latency for recall on ambiguous mentions.
     pub rescoring_factor: usize,
-    /// Entry capacity of the cross-table cell-candidate LRU that
-    /// `Annotator::annotate_batch` shares across workers (repeated strings
+    /// Entry capacity of the cross-table cell-candidate LRU that a request
+    /// run by `Annotator::run` shares across its workers (repeated strings
     /// across a corpus probe the index once). `0` disables the cache.
     /// Caching never changes output — only which probes are skipped.
     pub batch_cache_capacity: usize,
-    /// Worker count for `LemmaIndex::build` when the index is built through
-    /// `Annotator::new_with_config` (`0` = one worker per available core).
-    /// The built index is byte-identical at every thread count.
-    pub build_threads: usize,
     /// How index probes execute their IDF-overlap pass (`Auto` picks WAND
     /// or exhaustive per query). All modes return bit-identical candidates
     /// — this knob trades work skipped, never output. Overridable per
@@ -85,7 +81,6 @@ impl Default for AnnotatorConfig {
             min_candidate_score: 0.25,
             rescoring_factor: webtable_text::DEFAULT_RESCORING_FACTOR,
             batch_cache_capacity: 1 << 16,
-            build_threads: 0,
             probe_mode: webtable_text::ProbeMode::Auto,
         }
     }
@@ -103,7 +98,6 @@ mod tests {
         assert!(c.missing_link_feature);
         assert_eq!(c.rescoring_factor, 6);
         assert!(c.batch_cache_capacity > 0, "batch caching is on by default");
-        assert_eq!(c.build_threads, 0, "index builds use all cores by default");
     }
 
     #[test]

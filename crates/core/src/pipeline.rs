@@ -5,12 +5,15 @@
 //! ## One front door
 //!
 //! [`Annotator::run`](crate::session) executes an
-//! [`AnnotateRequest`](crate::AnnotateRequest) and is the only
-//! non-deprecated batch entry point;
-//! [`Annotator::annotate_stream`](crate::stream) is its bounded-memory
-//! streaming twin. The seven legacy `annotate*` methods below are
-//! `#[deprecated]` one-line wrappers over `run`, pinned bit-identical by
-//! `crates/core/tests/api_equivalence.rs`.
+//! [`AnnotateRequest`](crate::AnnotateRequest) and is the only batch
+//! entry point; [`Annotator::annotate_stream`](crate::stream) is its
+//! bounded-memory streaming twin. Three constructors cover every way an
+//! index reaches memory — [`Annotator::new`] builds it,
+//! [`Annotator::from_snapshot`] loads one snapshot file, and
+//! [`Annotator::from_lemma_segments`] takes segments the caller loaded —
+//! and [`Annotator::with_config`] / [`Annotator::with_weights`] replace
+//! the defaults. Catalog growth is one delta segment
+//! ([`Annotator::append_segment`]).
 //!
 //! ## Restart-free serving
 //!
@@ -36,8 +39,7 @@ use crate::candidates::{CandidateScratch, TableCandidates};
 use crate::config::AnnotatorConfig;
 use crate::error::Error;
 use crate::model::TableModel;
-use crate::result::{AnnotateStats, PhaseTimings, TableAnnotation};
-use crate::session::AnnotateRequest;
+use crate::result::{PhaseTimings, TableAnnotation};
 use crate::weights::Weights;
 
 /// A ready-to-use annotator: catalog + lemma index + weights + config.
@@ -58,29 +60,11 @@ pub struct Annotator {
 }
 
 impl Annotator {
-    /// Builds an annotator (and its lemma index) over a catalog with
+    /// Builds an annotator (and its lemma index, on all cores — the index
+    /// is byte-identical at every thread count) over a catalog with
     /// default weights and configuration.
     pub fn new(catalog: Arc<Catalog>) -> Annotator {
-        Annotator::new_with_config(catalog, AnnotatorConfig::default())
-    }
-
-    /// Builds an annotator over a catalog with the given configuration; the
-    /// lemma index is built with `config.build_threads` workers (`0` = all
-    /// cores — the index is byte-identical at every thread count).
-    pub fn new_with_config(catalog: Arc<Catalog>, config: AnnotatorConfig) -> Annotator {
-        let mono = Arc::new(LemmaIndex::build_with_threads(&catalog, config.build_threads));
-        let index = Arc::new(SegmentedIndex::from_single(mono));
-        Annotator { catalog, index, weights: Weights::default(), config }
-    }
-
-    /// Builds with an existing monolithic index (avoids re-indexing); the
-    /// index becomes the lone segment of a [`SegmentedIndex`].
-    pub fn with_index(catalog: Arc<Catalog>, index: Arc<LemmaIndex>) -> Annotator {
-        Annotator::with_segmented_index(catalog, Arc::new(SegmentedIndex::from_single(index)))
-    }
-
-    /// Builds with an existing segmented index (avoids re-indexing).
-    pub fn with_segmented_index(catalog: Arc<Catalog>, index: Arc<SegmentedIndex>) -> Annotator {
+        let index = Arc::new(SegmentedIndex::from_single(Arc::new(LemmaIndex::build(&catalog))));
         Annotator {
             catalog,
             index,
@@ -90,115 +74,36 @@ impl Annotator {
     }
 
     /// Builds an annotator from a lemma-index snapshot file instead of
-    /// re-indexing the catalog (default weights/config; see
-    /// [`from_snapshot_with_config`]). The loaded index is bit-identical to
-    /// the one [`save_snapshot`] wrote — same content digest, hence the
-    /// same [`cache_fingerprint`] — so candidate caches warmed before the
-    /// restart keep hitting after it.
+    /// re-indexing the catalog (default weights/config). The loaded index
+    /// is bit-identical to the one [`save_snapshot`] wrote — same content
+    /// digest, hence the same [`cache_fingerprint`] — so candidate caches
+    /// warmed before the restart keep hitting after it. Fails with
+    /// [`Error::CatalogMismatch`] if the snapshot does not index exactly
+    /// the given catalog — the one compatibility property the snapshot
+    /// cannot validate alone.
     ///
-    /// [`from_snapshot_with_config`]: Annotator::from_snapshot_with_config
     /// [`save_snapshot`]: Annotator::save_snapshot
     /// [`cache_fingerprint`]: Annotator::cache_fingerprint
     pub fn from_snapshot(
         catalog: Arc<Catalog>,
         path: impl AsRef<Path>,
     ) -> Result<Annotator, Error> {
-        Annotator::from_snapshot_with_config(catalog, path, AnnotatorConfig::default())
-    }
-
-    /// [`from_snapshot`](Annotator::from_snapshot) with an explicit
-    /// configuration. Fails with [`Error::CatalogMismatch`] if the
-    /// snapshot's entity/type id spaces do not cover the given catalog —
-    /// the one compatibility property the snapshot cannot validate alone.
-    pub fn from_snapshot_with_config(
-        catalog: Arc<Catalog>,
-        path: impl AsRef<Path>,
-        config: AnnotatorConfig,
-    ) -> Result<Annotator, Error> {
-        Annotator::attach_index(catalog, LemmaIndex::load(path)?, config)
-    }
-
-    /// [`from_snapshot`](Annotator::from_snapshot) over in-memory
-    /// snapshot bytes instead of a file path. Callers that need to
-    /// control (or fault-inject) the I/O read the file themselves and
-    /// hand the bytes here; validation is identical to the path-based
-    /// constructors.
-    pub fn from_snapshot_bytes(catalog: Arc<Catalog>, bytes: &[u8]) -> Result<Annotator, Error> {
-        Annotator::from_snapshot_bytes_with_config(catalog, bytes, AnnotatorConfig::default())
-    }
-
-    /// [`from_snapshot_bytes`](Annotator::from_snapshot_bytes) with an
-    /// explicit configuration.
-    pub fn from_snapshot_bytes_with_config(
-        catalog: Arc<Catalog>,
-        bytes: &[u8],
-        config: AnnotatorConfig,
-    ) -> Result<Annotator, Error> {
-        Annotator::attach_index(catalog, LemmaIndex::from_snapshot_bytes(bytes)?, config)
-    }
-
-    /// Builds an annotator from one snapshot byte buffer **per segment**
-    /// (MANIFEST v2 `segment` lines, in file order). One buffer is the
-    /// single-segment fast path — identical to
-    /// [`from_snapshot_bytes_with_config`]; with several, probes fan out
-    /// across segments and merge. Fails with [`Error::CatalogMismatch`]
-    /// if the union of segments does not cover the catalog (or if no
-    /// buffers are given).
-    ///
-    /// [`from_snapshot_bytes_with_config`]: Annotator::from_snapshot_bytes_with_config
-    pub fn from_segment_snapshots_bytes(
-        catalog: Arc<Catalog>,
-        segments: &[impl AsRef<[u8]>],
-    ) -> Result<Annotator, Error> {
-        Annotator::from_segment_snapshots_bytes_with_config(
-            catalog,
-            segments,
-            AnnotatorConfig::default(),
-        )
-    }
-
-    /// [`from_segment_snapshots_bytes`](Annotator::from_segment_snapshots_bytes)
-    /// with an explicit configuration.
-    pub fn from_segment_snapshots_bytes_with_config(
-        catalog: Arc<Catalog>,
-        segments: &[impl AsRef<[u8]>],
-        config: AnnotatorConfig,
-    ) -> Result<Annotator, Error> {
-        if segments.is_empty() {
-            return Err(Error::CatalogMismatch {
-                snapshot: (0, 0),
-                catalog: (catalog.num_entities(), catalog.num_types()),
-                detail: "manifest lists no segments".to_string(),
-            });
-        }
-        let mut parts = Vec::with_capacity(segments.len());
-        for bytes in segments {
-            parts.push(Arc::new(LemmaIndex::from_snapshot_bytes(bytes.as_ref())?));
-        }
-        Annotator::attach_segmented(catalog, SegmentedIndex::from_segments(parts), config)
+        Annotator::from_lemma_segments(catalog, vec![Arc::new(LemmaIndex::load(path)?)])
     }
 
     /// Builds an annotator from already-loaded per-segment indexes, in
-    /// manifest order. This is how a server assembles an annotator from
-    /// memory-mapped segments ([`LemmaIndex::load_mmap`]) — the loader
-    /// chooses how each segment's bytes reach memory, this constructor
-    /// only verifies catalog coverage. Fails with
+    /// manifest order (default weights/config). This is how a server
+    /// assembles an annotator from memory-mapped segments
+    /// ([`LemmaIndex::load_mmap`]) — the loader chooses how each segment's
+    /// bytes reach memory, this constructor only verifies catalog
+    /// coverage. One segment is the monolithic path, digest included;
+    /// with several, probes fan out across segments and merge. Fails with
     /// [`Error::CatalogMismatch`] if the union of segments does not cover
     /// the catalog (or if no segments are given).
     pub fn from_lemma_segments(
         catalog: Arc<Catalog>,
         segments: Vec<Arc<LemmaIndex>>,
     ) -> Result<Annotator, Error> {
-        Annotator::from_lemma_segments_with_config(catalog, segments, AnnotatorConfig::default())
-    }
-
-    /// [`from_lemma_segments`](Annotator::from_lemma_segments) with an
-    /// explicit configuration.
-    pub fn from_lemma_segments_with_config(
-        catalog: Arc<Catalog>,
-        segments: Vec<Arc<LemmaIndex>>,
-        config: AnnotatorConfig,
-    ) -> Result<Annotator, Error> {
         if segments.is_empty() {
             return Err(Error::CatalogMismatch {
                 snapshot: (0, 0),
@@ -206,22 +111,7 @@ impl Annotator {
                 detail: "manifest lists no segments".to_string(),
             });
         }
-        Annotator::attach_segmented(catalog, SegmentedIndex::from_segments(segments), config)
-    }
-
-    fn attach_index(
-        catalog: Arc<Catalog>,
-        index: LemmaIndex,
-        config: AnnotatorConfig,
-    ) -> Result<Annotator, Error> {
-        Annotator::attach_segmented(catalog, SegmentedIndex::from_single(Arc::new(index)), config)
-    }
-
-    fn attach_segmented(
-        catalog: Arc<Catalog>,
-        index: SegmentedIndex,
-        config: AnnotatorConfig,
-    ) -> Result<Annotator, Error> {
+        let index = SegmentedIndex::from_segments(segments);
         if let Err(detail) = index.verify_catalog(&catalog) {
             return Err(Error::CatalogMismatch {
                 snapshot: (index.num_indexed_entities(), index.num_indexed_types()),
@@ -229,7 +119,12 @@ impl Annotator {
                 detail,
             });
         }
-        Ok(Annotator { catalog, index: Arc::new(index), weights: Weights::default(), config })
+        Ok(Annotator {
+            catalog,
+            index: Arc::new(index),
+            weights: Weights::default(),
+            config: AnnotatorConfig::default(),
+        })
     }
 
     /// Persists this annotator's lemma index as a snapshot file (see
@@ -257,37 +152,13 @@ impl Annotator {
     }
 
     /// Re-targets this annotator at an append-only grown catalog by
-    /// extending the lemma index incrementally (only new text is
-    /// tokenized; bit-identical to a from-scratch rebuild — see
-    /// [`LemmaIndex::extend`]). Weights and config carry over. Fails with
-    /// [`Error::Extend`] if `grown` is not an append-only superset of the
-    /// indexed catalog.
-    pub fn extend_to(&self, grown: Arc<Catalog>) -> Result<Annotator, Error> {
-        let index = if self.index.segment_count() == 1 {
-            // Monolithic in, monolithic out: bit-identical to a rebuild,
-            // digest included, so warmed caches stay valid.
-            let extended = self.index.segments()[0].extend(&grown)?;
-            Arc::new(SegmentedIndex::from_single(Arc::new(extended)))
-        } else {
-            // Already segmented: the delta becomes one more segment.
-            Arc::new(self.index.append(&grown, self.config.build_threads)?)
-        };
-        Ok(Annotator {
-            catalog: grown,
-            index,
-            weights: self.weights.clone(),
-            config: self.config.clone(),
-        })
-    }
-
-    /// Re-targets this annotator at an append-only grown catalog by
     /// building **one new segment** over the appended id range (existing
     /// segments are shared untouched — no rewrite of their snapshots).
     /// Probe results are bit-identical to a from-scratch rebuild of the
     /// grown catalog; the content digest differs (it now hashes the
     /// segment list), so candidate caches start cold.
     pub fn append_segment(&self, grown: Arc<Catalog>) -> Result<Annotator, Error> {
-        let index = Arc::new(self.index.append(&grown, self.config.build_threads)?);
+        let index = Arc::new(self.index.append(&grown, 0)?);
         Ok(Annotator {
             catalog: grown,
             index,
@@ -452,94 +323,6 @@ impl Annotator {
         // tripped after the last claim.
         Ok(out)
     }
-
-    // ------------------------------------------------------------------
-    // Deprecated entry points — one-line wrappers over `run`
-    // ------------------------------------------------------------------
-
-    /// Annotates one table collectively.
-    #[deprecated(since = "0.2.0", note = "use `Annotator::run` with `AnnotateRequest::one`")]
-    pub fn annotate(&self, table: &Table) -> TableAnnotation {
-        self.run(&AnnotateRequest::one(table).without_cache()).into_single().0
-    }
-
-    /// Annotates one table collectively, reporting phase timings.
-    #[deprecated(since = "0.2.0", note = "use `Annotator::run` with `AnnotateRequest::one`")]
-    pub fn annotate_timed(&self, table: &Table) -> (TableAnnotation, PhaseTimings) {
-        self.run(&AnnotateRequest::one(table).without_cache()).into_single()
-    }
-
-    /// `annotate_timed` with caller-owned scratch. The argument is ignored
-    /// (output is identical): the engine reuses scratch per worker *within*
-    /// a request, so the allocation-light migration for a loop of
-    /// single-table calls is to batch the tables into one request.
-    #[deprecated(
-        since = "0.2.0",
-        note = "batch the tables into one `AnnotateRequest` — scratch is reused across a request"
-    )]
-    pub fn annotate_timed_with_scratch(
-        &self,
-        table: &Table,
-        _scratch: &mut CandidateScratch,
-    ) -> (TableAnnotation, PhaseTimings) {
-        self.run(&AnnotateRequest::one(table).without_cache()).into_single()
-    }
-
-    /// Annotates one table and then enforces a uniqueness (primary-key)
-    /// constraint on the given columns via optimal assignment (§4.4.1).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Annotator::run` with `AnnotateRequest::unique_columns`"
-    )]
-    pub fn annotate_with_unique_columns(
-        &self,
-        table: &Table,
-        unique_columns: &[usize],
-    ) -> TableAnnotation {
-        self.run(&AnnotateRequest::one(table).without_cache().unique_columns(unique_columns))
-            .into_single()
-            .0
-    }
-
-    /// Annotates a batch in parallel with `threads` workers; workers share
-    /// a fresh cross-table candidate cache sized by
-    /// `config.batch_cache_capacity`.
-    #[deprecated(since = "0.2.0", note = "use `Annotator::run` with `AnnotateRequest::workers`")]
-    pub fn annotate_batch(
-        &self,
-        tables: &[Table],
-        threads: usize,
-    ) -> Vec<(TableAnnotation, PhaseTimings)> {
-        self.run(&AnnotateRequest::new(tables).workers(threads)).into_pairs()
-    }
-
-    /// `annotate_batch` that also reports aggregate [`AnnotateStats`].
-    #[deprecated(since = "0.2.0", note = "use `Annotator::run`; stats ride on `AnnotateResponse`")]
-    pub fn annotate_batch_stats(
-        &self,
-        tables: &[Table],
-        threads: usize,
-    ) -> (Vec<(TableAnnotation, PhaseTimings)>, AnnotateStats) {
-        let response = self.run(&AnnotateRequest::new(tables).workers(threads));
-        let stats = response.stats;
-        (response.into_pairs(), stats)
-    }
-
-    /// Batch annotation against a caller-owned candidate cache (reusable
-    /// across batches; counters accumulate on the cache). An incompatible
-    /// cache is bypassed, never corrupting output.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Annotator::run` with `AnnotateRequest::shared_cache`"
-    )]
-    pub fn annotate_batch_with_cache(
-        &self,
-        tables: &[Table],
-        threads: usize,
-        cache: &CellCandidateCache,
-    ) -> Vec<(TableAnnotation, PhaseTimings)> {
-        self.run(&AnnotateRequest::new(tables).workers(threads).shared_cache(cache)).into_pairs()
-    }
 }
 
 #[cfg(test)]
@@ -548,6 +331,7 @@ mod tests {
     use webtable_tables::{NoiseConfig, TableGenerator, TruthMask};
 
     use super::*;
+    use crate::session::AnnotateRequest;
 
     fn annotator() -> (webtable_catalog::World, Annotator) {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();
@@ -556,21 +340,13 @@ mod tests {
     }
 
     #[test]
-    fn timings_are_recorded_and_candidates_dominate() {
+    fn timings_are_recorded_and_phases_fit_in_total() {
         let (w, a) = annotator();
         let mut g = TableGenerator::new(&w, NoiseConfig::wiki(), TruthMask::full(), 41);
         let lt = g.gen_table(20);
         let (_, t) = a.run(&AnnotateRequest::one(&lt.table).without_cache()).into_single();
         assert!(t.total_us > 0);
         assert!(t.candidates_us + t.potentials_us + t.inference_us <= t.total_us + 1000);
-        // The paper's Figure 7 drill-down: candidate generation (index
-        // probing + similarity) should dominate the runtime.
-        assert!(
-            t.candidate_fraction() > 0.3,
-            "candidates {}us of {}us",
-            t.candidates_us,
-            t.total_us
-        );
     }
 
     #[test]

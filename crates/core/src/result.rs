@@ -92,7 +92,7 @@ impl PhaseTimings {
 }
 
 /// Aggregate statistics for one batch-annotation run
-/// (`Annotator::annotate_batch_stats`).
+/// (`AnnotateResponse::stats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AnnotateStats {
     /// Number of tables annotated.

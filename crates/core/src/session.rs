@@ -1,11 +1,7 @@
 //! The request/response front door of the annotator.
 //!
-//! Four PRs of scale-out grew [`Annotator`] seven overlapping entry points
-//! (`annotate`, `annotate_timed`, `annotate_timed_with_scratch`,
-//! `annotate_with_unique_columns`, `annotate_batch`, `annotate_batch_stats`,
-//! `annotate_batch_with_cache`) that each hard-wired one combination of
-//! timing, statistics, caching and parallelism. This module replaces them
-//! with a single request/response pair:
+//! Every combination of timing, statistics, caching and parallelism goes
+//! through a single request/response pair:
 //!
 //! * [`AnnotateRequest`] — a builder describing *what* to annotate (a table
 //!   slice) and *how* (worker count, cache plan, unique-column enforcement,
@@ -14,10 +10,8 @@
 //!   [`AnnotateResponse`] carrying annotations, per-table phase timings,
 //!   and aggregate [`AnnotateStats`].
 //!
-//! The legacy entry points survive as `#[deprecated]` one-line wrappers
-//! over [`Annotator::run`], pinned bit-identical by
-//! `crates/core/tests/api_equivalence.rs`. For unbounded inputs see the
-//! streaming sibling [`Annotator::annotate_stream`](crate::stream).
+//! For unbounded inputs see the streaming sibling
+//! [`Annotator::annotate_stream`](crate::stream).
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -188,8 +182,8 @@ impl AnnotateResponse {
 }
 
 impl Annotator {
-    /// Executes an annotation request — the single front-door entry point
-    /// every deprecated `annotate*` method now wraps. Annotations are a
+    /// Executes an annotation request — the single front-door entry
+    /// point. Annotations are a
     /// pure function of (catalog, index, weights, config, tables):
     /// worker count, caching, and probe mode never change output, only
     /// wall-clock and the work skipped.

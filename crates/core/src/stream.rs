@@ -1,7 +1,7 @@
 //! Streaming batch annotation: bounded memory over an unbounded table
 //! stream (the ROADMAP's service frontier).
 //!
-//! [`Annotator::annotate_batch`](crate::Annotator) materializes the whole
+//! [`Annotator::run`](crate::Annotator::run) materializes the whole
 //! corpus and its results in memory — fine for a benchmark, fatal for a
 //! service draining a crawl. [`Annotator::annotate_stream`] instead drives
 //! a **fixed worker pool** fed through **per-shard bounded channels** and a
@@ -19,7 +19,7 @@
 //! permit, so at most [`StreamOptions::buffer_bound`] tables exist inside
 //! the pipeline at any instant — backpressure propagates all the way to
 //! the source iterator. Results are re-ordered to input order before being
-//! yielded, and annotations are **byte-identical** to `annotate_batch` on
+//! yielded, and annotations are **byte-identical** to a batch `run` on
 //! the same input at any worker count (pinned by
 //! `crates/core/tests/api_equivalence.rs`).
 
@@ -47,7 +47,7 @@ pub struct StreamOptions {
     pub buffer_bound: usize,
     /// Capacity of the stream-private cross-table candidate cache
     /// (`None` = the annotator's `config.batch_cache_capacity`, matching
-    /// `annotate_batch`; `Some(0)` disables caching).
+    /// a batch `run`; `Some(0)` disables caching).
     pub cache_capacity: Option<usize>,
 }
 
@@ -238,7 +238,7 @@ impl Annotator {
     /// a hard in-flight bound — the streaming twin of the batch request
     /// path ([`Annotator::run`](crate::Annotator::run)). Yields
     /// `(annotation, timings)` pairs in input order; annotations are
-    /// byte-identical to `annotate_batch` on the same tables at any
+    /// byte-identical to a batch `run` on the same tables at any
     /// worker count. Memory holds at most
     /// [`StreamOptions::buffer_bound`] tables (plus their results)
     /// regardless of stream length: the feeder pulls the next table from

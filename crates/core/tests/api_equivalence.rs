@@ -1,16 +1,11 @@
-//! Front-door equivalence: every deprecated `annotate*` entry point must
-//! be bit-identical to the `Annotator::run` request it wraps — same
-//! annotations, same stats, same cache hit/miss counters — and
-//! `annotate_stream` must be byte-identical to the batch path on a corpus
-//! larger than its buffer bound while never holding more than
-//! `StreamOptions::buffer_bound` tables in flight.
-//!
-//! Deprecated calls here are the point of the suite.
-#![allow(deprecated)]
+//! Streaming equivalence: `annotate_stream` must be byte-identical to the
+//! batch `Annotator::run` path on a corpus larger than its buffer bound
+//! while never holding more than `StreamOptions::buffer_bound` tables in
+//! flight, and its cache counters must match the batch run's.
 
 use std::sync::{Arc, OnceLock};
 
-use webtable_core::{AnnotateRequest, Annotator, CandidateScratch, StreamOptions, TableAnnotation};
+use webtable_core::{AnnotateRequest, Annotator, StreamOptions, TableAnnotation};
 use webtable_tables::{NoiseConfig, Table, TableGenerator, TruthMask};
 
 fn world_and_annotator() -> &'static (webtable_catalog::World, Annotator) {
@@ -38,97 +33,6 @@ fn assert_same(got: &TableAnnotation, want: &TableAnnotation, ctx: &str) {
 }
 
 #[test]
-fn annotate_wraps_run() {
-    let (_, a) = world_and_annotator();
-    for t in &corpus(1, 3, 5) {
-        let legacy = a.annotate(t);
-        let front = a.run(&AnnotateRequest::one(t).without_cache()).into_single().0;
-        assert_same(&legacy, &front, "annotate");
-    }
-}
-
-#[test]
-fn annotate_timed_wraps_run() {
-    let (_, a) = world_and_annotator();
-    for t in &corpus(2, 3, 5) {
-        let (legacy, _) = a.annotate_timed(t);
-        let front = a.run(&AnnotateRequest::one(t).without_cache()).into_single().0;
-        assert_same(&legacy, &front, "annotate_timed");
-    }
-}
-
-#[test]
-fn annotate_timed_with_scratch_wraps_run() {
-    let (_, a) = world_and_annotator();
-    let mut scratch = CandidateScratch::new();
-    for t in &corpus(3, 3, 5) {
-        let (legacy, _) = a.annotate_timed_with_scratch(t, &mut scratch);
-        let front = a.run(&AnnotateRequest::one(t).without_cache()).into_single().0;
-        assert_same(&legacy, &front, "annotate_timed_with_scratch");
-    }
-}
-
-#[test]
-fn annotate_with_unique_columns_wraps_run() {
-    let (_, a) = world_and_annotator();
-    let cols = [0usize, 1];
-    for t in &corpus(4, 3, 6) {
-        let legacy = a.annotate_with_unique_columns(t, &cols);
-        let front =
-            a.run(&AnnotateRequest::one(t).without_cache().unique_columns(&cols)).into_single().0;
-        assert_same(&legacy, &front, "annotate_with_unique_columns");
-    }
-}
-
-#[test]
-fn annotate_batch_wraps_run() {
-    let (_, a) = world_and_annotator();
-    let tables = corpus(5, 5, 5);
-    for workers in [1usize, 3] {
-        let legacy = a.annotate_batch(&tables, workers);
-        let front = a.run(&AnnotateRequest::new(&tables).workers(workers));
-        assert_eq!(legacy.len(), front.annotations.len());
-        for (i, ((l, _), f)) in legacy.iter().zip(&front.annotations).enumerate() {
-            assert_same(l, f, &format!("annotate_batch[{i}] workers={workers}"));
-        }
-    }
-}
-
-#[test]
-fn annotate_batch_stats_wraps_run_including_counters() {
-    let (_, a) = world_and_annotator();
-    // Duplicate the corpus so the cache actually hits; one worker keeps
-    // the counters deterministic.
-    let mut tables = corpus(6, 3, 6);
-    tables.extend(tables.clone());
-    let (legacy_results, legacy_stats) = a.annotate_batch_stats(&tables, 1);
-    let front = a.run(&AnnotateRequest::new(&tables));
-    assert_eq!(legacy_stats.tables, front.stats.tables);
-    assert_eq!(legacy_stats.cache_hits, front.stats.cache_hits, "hit counters");
-    assert_eq!(legacy_stats.cache_misses, front.stats.cache_misses, "miss counters");
-    assert!(legacy_stats.cache_hits > 0, "duplicated corpus must hit");
-    for (i, ((l, _), f)) in legacy_results.iter().zip(&front.annotations).enumerate() {
-        assert_same(l, f, &format!("annotate_batch_stats[{i}]"));
-    }
-}
-
-#[test]
-fn annotate_batch_with_cache_wraps_run_and_shares_counters() {
-    let (_, a) = world_and_annotator();
-    let tables = corpus(7, 4, 5);
-    let legacy_cache = a.new_cell_cache(1 << 12);
-    let legacy = a.annotate_batch_with_cache(&tables, 1, &legacy_cache);
-    let front_cache = a.new_cell_cache(1 << 12);
-    let front = a.run(&AnnotateRequest::new(&tables).shared_cache(&front_cache));
-    assert_eq!(legacy_cache.hits(), front_cache.hits(), "hit counters");
-    assert_eq!(legacy_cache.misses(), front_cache.misses(), "miss counters");
-    assert_eq!(front.stats.cache_misses, front_cache.misses(), "stats report the run's delta");
-    for (i, ((l, _), f)) in legacy.iter().zip(&front.annotations).enumerate() {
-        assert_same(l, f, &format!("annotate_batch_with_cache[{i}]"));
-    }
-}
-
-#[test]
 fn stream_is_byte_identical_to_batch_beyond_the_buffer_bound() {
     let (_, a) = world_and_annotator();
     // 14 tables through a 4-table window: the stream must spill its bound
@@ -136,7 +40,7 @@ fn stream_is_byte_identical_to_batch_beyond_the_buffer_bound() {
     let tables = corpus(8, 14, 5);
     let bound = 4usize;
     assert!(tables.len() > bound, "corpus must exceed the stream buffer bound");
-    let batch = a.annotate_batch(&tables, 2);
+    let batch = a.run(&AnnotateRequest::new(&tables).workers(2)).annotations;
     for workers in [1usize, 2, 4] {
         let mut stream = a.annotate_stream(
             tables.clone(),
@@ -144,7 +48,7 @@ fn stream_is_byte_identical_to_batch_beyond_the_buffer_bound() {
         );
         let streamed: Vec<TableAnnotation> = stream.by_ref().map(|(ann, _)| ann).collect();
         assert_eq!(streamed.len(), batch.len(), "workers={workers}");
-        for (i, ((b, _), s)) in batch.iter().zip(&streamed).enumerate() {
+        for (i, (b, s)) in batch.iter().zip(&streamed).enumerate() {
             assert_same(b, s, &format!("stream[{i}] workers={workers}"));
         }
         assert!(
@@ -161,7 +65,7 @@ fn stream_counters_match_batch_stats_single_worker() {
     let (_, a) = world_and_annotator();
     let mut tables = corpus(9, 4, 6);
     tables.extend(tables.clone()); // duplicates → hits
-    let (_, batch_stats) = a.annotate_batch_stats(&tables, 1);
+    let batch_stats = a.run(&AnnotateRequest::new(&tables)).stats;
     let mut stream =
         a.annotate_stream(tables.clone(), StreamOptions::default().workers(1).buffer_bound(3));
     let n = stream.by_ref().count();

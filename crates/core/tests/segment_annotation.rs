@@ -8,11 +8,30 @@ use std::sync::Arc;
 
 use webtable_core::{AnnotateRequest, Annotator, TableAnnotation};
 use webtable_tables::{NoiseConfig, Table, TableGenerator, TruthMask};
-use webtable_text::SegmentedIndex;
+use webtable_text::{LemmaIndex, SegmentedIndex};
 
 fn corpus(w: &webtable_catalog::World, seed: u64, n: usize, rows: usize) -> Vec<Table> {
     let mut g = TableGenerator::new(w, NoiseConfig::web(), TruthMask::full(), seed);
     g.gen_corpus(n, rows).into_iter().map(|lt| lt.table).collect()
+}
+
+/// An annotator over the catalog's index pre-split into `num_segments`.
+fn split_annotator(w: &webtable_catalog::World, num_segments: usize) -> Annotator {
+    let idx = SegmentedIndex::build_split(&w.catalog, num_segments, 1);
+    Annotator::from_lemma_segments(Arc::clone(&w.catalog), idx.segments().to_vec())
+        .expect("segments cover the catalog")
+}
+
+/// An annotator restored from per-segment snapshot bytes.
+fn restore(
+    w: &webtable_catalog::World,
+    parts: &[Vec<u8>],
+) -> Result<Annotator, webtable_core::Error> {
+    let segments = parts
+        .iter()
+        .map(|b| Arc::new(LemmaIndex::from_snapshot_bytes(b).expect("segment snapshot")))
+        .collect();
+    Annotator::from_lemma_segments(Arc::clone(&w.catalog), segments)
 }
 
 fn assert_same_annotations(got: &[TableAnnotation], want: &[TableAnnotation], ctx: &str) {
@@ -33,8 +52,7 @@ fn segmented_annotator_matches_monolithic() {
         let tables = corpus(&w, seed, 4, 6);
         let baseline = mono.run(&AnnotateRequest::new(&tables)).annotations;
         for num_segments in [2usize, 4] {
-            let idx = Arc::new(SegmentedIndex::build_split(&w.catalog, num_segments, 1));
-            let seg = Annotator::with_segmented_index(Arc::clone(&w.catalog), idx);
+            let seg = split_annotator(&w, num_segments);
             let got = seg.run(&AnnotateRequest::new(&tables)).annotations;
             assert_same_annotations(
                 &got,
@@ -59,8 +77,7 @@ fn segmented_annotator_matches_monolithic() {
 fn single_segment_fingerprint_carries_over() {
     let w = webtable_catalog::generate_world(&webtable_catalog::WorldConfig::tiny(7)).unwrap();
     let mono = Annotator::new(Arc::clone(&w.catalog));
-    let idx = Arc::new(SegmentedIndex::build_split(&w.catalog, 1, 1));
-    let single = Annotator::with_segmented_index(Arc::clone(&w.catalog), idx);
+    let single = split_annotator(&w, 1);
     assert_eq!(
         mono.cache_fingerprint(),
         single.cache_fingerprint(),
@@ -68,16 +85,14 @@ fn single_segment_fingerprint_carries_over() {
     );
     // Multi-segment digests hash the segment list and must differ, so a
     // cache warmed on one layout is bypassed on the other.
-    let idx4 = Arc::new(SegmentedIndex::build_split(&w.catalog, 4, 1));
-    let four = Annotator::with_segmented_index(Arc::clone(&w.catalog), idx4);
+    let four = split_annotator(&w, 4);
     assert_ne!(mono.cache_fingerprint(), four.cache_fingerprint());
 }
 
 #[test]
 fn save_snapshot_is_single_segment_only() {
     let w = webtable_catalog::generate_world(&webtable_catalog::WorldConfig::tiny(7)).unwrap();
-    let idx = Arc::new(SegmentedIndex::build_split(&w.catalog, 2, 1));
-    let seg = Annotator::with_segmented_index(Arc::clone(&w.catalog), idx);
+    let seg = split_annotator(&w, 2);
     let path = std::env::temp_dir().join(format!("webtable-seg-save-{}.idx", std::process::id()));
     let err = seg.save_snapshot(&path).expect_err("multi-segment save must fail");
     assert_eq!(err.code(), "snapshot");
@@ -90,12 +105,7 @@ fn segment_snapshots_round_trip_through_annotator() {
     let idx = SegmentedIndex::build_split(&w.catalog, 3, 1);
     let parts: Vec<Vec<u8>> =
         idx.segments().iter().map(|s| s.to_snapshot_bytes().expect("serialize segment")).collect();
-    let restored = Annotator::from_segment_snapshots_bytes_with_config(
-        Arc::clone(&w.catalog),
-        &parts,
-        Default::default(),
-    )
-    .expect("segment snapshots restore");
+    let restored = restore(&w, &parts).expect("segment snapshots restore");
     assert_eq!(restored.index.segment_count(), 3);
     let mono = Annotator::new(Arc::clone(&w.catalog));
     let tables = corpus(&w, 9, 3, 5);
@@ -105,18 +115,8 @@ fn segment_snapshots_round_trip_through_annotator() {
         "restored 3-segment annotator",
     );
     // Wrong segment set: dropping one must fail the catalog cover check.
-    let err = Annotator::from_segment_snapshots_bytes_with_config(
-        Arc::clone(&w.catalog),
-        &parts[..2],
-        Default::default(),
-    )
-    .expect_err("partial segment set must be rejected");
+    let err = restore(&w, &parts[..2]).expect_err("partial segment set must be rejected");
     assert_eq!(err.code(), "catalog_mismatch");
-    let err = Annotator::from_segment_snapshots_bytes_with_config(
-        Arc::clone(&w.catalog),
-        &Vec::<Vec<u8>>::new(),
-        Default::default(),
-    )
-    .expect_err("empty segment set must be rejected");
+    let err = restore(&w, &[]).expect_err("empty segment set must be rejected");
     assert_eq!(err.code(), "catalog_mismatch");
 }

@@ -1,10 +1,6 @@
 //! An annotated table corpus: the searchable artifact.
 
-use std::path::Path;
-use std::sync::Arc;
-
-use webtable_catalog::Catalog;
-use webtable_core::{AnnotateRequest, Annotator, Error, TableAnnotation};
+use webtable_core::TableAnnotation;
 use webtable_tables::Table;
 
 /// Tables plus their (machine-produced) annotations, aligned by index.
@@ -21,41 +17,6 @@ impl AnnotatedCorpus {
     pub fn from_parts(tables: Vec<Table>, annotations: Vec<TableAnnotation>) -> AnnotatedCorpus {
         assert_eq!(tables.len(), annotations.len(), "misaligned corpus");
         AnnotatedCorpus { tables, annotations }
-    }
-
-    /// Annotates a batch of tables with the given annotator (parallel,
-    /// via [`Annotator::run`]).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `SearchEngine::from_tables`, or `Annotator::run` + `from_parts`"
-    )]
-    pub fn annotate(annotator: &Annotator, tables: Vec<Table>, threads: usize) -> AnnotatedCorpus {
-        let annotations =
-            annotator.run(&AnnotateRequest::new(&tables).workers(threads)).annotations;
-        AnnotatedCorpus { tables, annotations }
-    }
-
-    /// Annotates a batch with an annotator restored from an on-disk
-    /// lemma-index snapshot — the restart-free corpus-loading path: build
-    /// the catalog index once, then every corpus (re)load afterwards skips
-    /// the build entirely. Annotations are identical to
-    /// [`annotate`](AnnotatedCorpus::annotate) with a freshly built
-    /// annotator (the loaded index is bit-identical to the saved one).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Annotator::from_snapshot` + `run` + `from_parts` (or `webtable-serve`, \
-                which owns the snapshot-to-corpus path)"
-    )]
-    pub fn annotate_from_snapshot(
-        catalog: Arc<Catalog>,
-        snapshot: impl AsRef<Path>,
-        tables: Vec<Table>,
-        threads: usize,
-    ) -> Result<AnnotatedCorpus, Error> {
-        let annotator = Annotator::from_snapshot(catalog, snapshot)?;
-        let annotations =
-            annotator.run(&AnnotateRequest::new(&tables).workers(threads)).annotations;
-        Ok(AnnotatedCorpus { tables, annotations })
     }
 
     /// Number of tables.
@@ -84,34 +45,5 @@ mod tests {
         let c = AnnotatedCorpus::default();
         assert!(c.is_empty());
         assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    #[allow(deprecated)] // deliberately exercises the deprecated wrappers
-    fn snapshot_roundtrip_corpus_matches_fresh_annotator() {
-        use webtable_catalog::{generate_world, WorldConfig};
-        use webtable_tables::{NoiseConfig, TableGenerator, TruthMask};
-
-        let w = generate_world(&WorldConfig::tiny(31)).unwrap();
-        let mut g = TableGenerator::new(&w, NoiseConfig::wiki(), TruthMask::full(), 3);
-        let tables: Vec<Table> = g.gen_corpus(4, 6).into_iter().map(|lt| lt.table).collect();
-
-        let annotator = Annotator::new(Arc::clone(&w.catalog));
-        let fresh = AnnotatedCorpus::annotate(&annotator, tables.clone(), 2);
-
-        let path =
-            std::env::temp_dir().join(format!("webtable-snap-corpus-{}.idx", std::process::id()));
-        annotator.save_snapshot(&path).expect("save");
-        let restored =
-            AnnotatedCorpus::annotate_from_snapshot(Arc::clone(&w.catalog), &path, tables, 2)
-                .expect("snapshot corpus load");
-        let _ = std::fs::remove_file(&path);
-
-        assert_eq!(fresh.len(), restored.len());
-        for (a, b) in fresh.annotations.iter().zip(&restored.annotations) {
-            assert_eq!(a.cell_entities, b.cell_entities);
-            assert_eq!(a.column_types, b.column_types);
-            assert_eq!(a.relations, b.relations);
-        }
     }
 }

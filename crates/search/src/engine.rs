@@ -1,20 +1,14 @@
 //! The search front door: one engine, one query type, one entry point.
 //!
-//! Before the API redesign the three processors of §5 were free functions
-//! (`baseline_search`, `typed_search`, `join_search`) that each threaded
-//! `catalog` / `index` / `corpus` by hand at every call site. The
-//! [`SearchEngine`] owns those three pieces — built once, queried many
-//! times — and a [`Query`] value names the processor:
+//! The [`SearchEngine`] owns the catalog, the annotated corpus and the
+//! search index — built once, queried many times — and a [`Query`] value
+//! names the processor:
 //!
 //! ```text
 //! tables ─► Annotator::run ─► AnnotatedCorpus ─► SearchEngine::build
 //!                                                      │
 //! Query::Baseline / Typed / Join ─► SearchEngine::search ─► Vec<RankedAnswer>
 //! ```
-//!
-//! The deprecated free functions remain as wrappers over the same
-//! processor bodies, pinned result-identical by
-//! `crates/search/tests/engine_equivalence.rs`.
 
 use std::sync::Arc;
 
@@ -153,9 +147,7 @@ impl SearchEngine {
     /// deterministic (score descending, key ascending on ties).
     ///
     /// `Query::Join` answers are projected onto the outer entity `e1`
-    /// keeping the best-scoring join chain per answer; use the corpus and
-    /// annotations directly (or the deprecated `join_search`) if the join
-    /// variable itself is needed.
+    /// keeping the best-scoring join chain per answer.
     pub fn search(&self, query: &Query) -> Vec<RankedAnswer> {
         match *query {
             Query::Baseline(ref q) => {

@@ -31,7 +31,7 @@ pub struct JoinQuery {
 
 /// One join answer: the pair and the multiplied evidence.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JoinAnswer {
+pub(crate) struct JoinAnswer {
     /// The outer answer `e1` (entity or text, as in single-hop search).
     pub e1: AnswerKey,
     /// The join entity `e2` (must be resolved — text can't join).
@@ -42,20 +42,10 @@ pub struct JoinAnswer {
 
 /// Executes a join query over the annotated corpus using the Type+Rel
 /// processor for both hops. `mid_k` bounds the number of join-variable
-/// candidates explored (best-first).
-#[deprecated(since = "0.2.0", note = "use `SearchEngine::search` with `Query::Join`")]
-pub fn join_search(
-    catalog: &Catalog,
-    index: &SearchIndex,
-    corpus: &AnnotatedCorpus,
-    q: &JoinQuery,
-    mid_k: usize,
-) -> Vec<JoinAnswer> {
-    join_search_impl(catalog, index, corpus, q, mid_k)
-}
-
-/// The join processor body; shared by the deprecated free function and
-/// [`SearchEngine::search`](crate::SearchEngine::search).
+/// candidates explored (best-first). [`SearchEngine::search`] projects the
+/// result onto `e1`.
+///
+/// [`SearchEngine::search`]: crate::SearchEngine::search
 pub(crate) fn join_search_impl(
     catalog: &Catalog,
     index: &SearchIndex,

@@ -14,10 +14,6 @@
 //! * [`augment`] — row/column population and entity-relationship queries;
 //! * [`eval`] — workload sampling and MAP judging against the oracle
 //!   (the DBPedia stand-in).
-//!
-//! The former free-function processors (`baseline_search` — Figure 3,
-//! `typed_search` — Figure 4, `join_search`) are deprecated wrappers over
-//! the engine's processor bodies.
 
 pub mod augment;
 pub mod corpus;
@@ -34,10 +30,6 @@ pub use corpus::AnnotatedCorpus;
 pub use engine::{Query, SearchEngine};
 pub use eval::{build_workload, judge, map_over_queries, query_ap, relevant_entities, Workload};
 pub use index::{CellRef, ColRef, PairRef, SearchIndex};
-#[allow(deprecated)]
-pub use join::join_search;
-pub use join::{join_truth, JoinAnswer, JoinQuery};
-#[allow(deprecated)]
-pub use query::{baseline_search, typed_search};
+pub use join::{join_truth, JoinQuery};
 pub use query::{AnswerKey, EntityQuery, RankedAnswer};
 pub use retrieval::TableIndex;

@@ -3,21 +3,22 @@
 //! The query form: given `R, T1, T2, E2 ∈+ T2` with `R(T1, T2)` in the
 //! catalog, return ranked `E1 ∈+ T1` such that `R(E1, E2)` holds.
 //!
-//! Three processors:
-//! * [`baseline_search`] — Figure 3: all inputs interpreted as strings,
+//! Three processors, each run through
+//! [`SearchEngine::search`](crate::SearchEngine::search):
+//! * `Query::Baseline` — Figure 3: all inputs interpreted as strings,
 //!   tables matched by header/context text, answers are cell strings;
-//! * [`typed_search`] with `use_relations = false` — Figure 4 restricted
+//! * `Query::Typed` with `use_relations = false` — Figure 4 restricted
 //!   to column-type annotations;
-//! * [`typed_search`] with `use_relations = true` — full Figure 4, using
+//! * `Query::Typed` with `use_relations = true` — full Figure 4, using
 //!   type and relation annotations and entity-annotated cells.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use webtable_catalog::{Catalog, EntityId, RelationId, TypeId};
 use webtable_text::{to_sorted_set, tokenize};
 
 use crate::corpus::AnnotatedCorpus;
-use crate::index::SearchIndex;
+use crate::index::{ColRef, SearchIndex};
 
 /// A select-project entity query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,18 +87,6 @@ pub(crate) fn rank_bounded(
 /// column header; `E2`'s string is sought in the `T2` column by token
 /// overlap; the co-row `T1` cells are collected, clustered by normalized
 /// text, and ranked by (context-boosted) frequency.
-#[deprecated(since = "0.2.0", note = "use `SearchEngine::search` with `Query::Baseline`")]
-pub fn baseline_search(
-    catalog: &Catalog,
-    index: &SearchIndex,
-    corpus: &AnnotatedCorpus,
-    q: &EntityQuery,
-) -> Vec<RankedAnswer> {
-    baseline_search_impl(catalog, index, corpus, q)
-}
-
-/// The Figure 3 processor body; shared by the deprecated free function and
-/// [`SearchEngine::search`](crate::SearchEngine::search).
 pub(crate) fn baseline_search_impl(
     catalog: &Catalog,
     index: &SearchIndex,
@@ -111,19 +100,13 @@ pub(crate) fn baseline_search_impl(
         tokenize(catalog.entity_name(q.e2)).into_iter().map(|t| hash_token(&t)).collect(),
     );
 
-    // Column sets whose headers match the type strings.
-    let mut t1_cols: HashMap<(u32, u16), usize> = HashMap::new();
-    for tok in tokenize(t1_str) {
-        for &col in index.header_cols_with_token(&tok) {
-            *t1_cols.entry(col).or_insert(0) += 1;
-        }
-    }
-    let mut t2_cols: HashMap<(u32, u16), usize> = HashMap::new();
-    for tok in tokenize(t2_str) {
-        for &col in index.header_cols_with_token(&tok) {
-            *t2_cols.entry(col).or_insert(0) += 1;
-        }
-    }
+    // Column sets whose headers match the type strings, in key order so
+    // every answer's evidence below is summed in one fixed order.
+    let header_cols = |text: &str| -> BTreeSet<ColRef> {
+        tokenize(text).iter().flat_map(|tok| index.header_cols_with_token(tok)).copied().collect()
+    };
+    let t1_cols = header_cols(t1_str);
+    let t2_cols = header_cols(t2_str);
     // Context matches for the relation string (a soft boost).
     let mut ctx_tables: HashMap<u32, usize> = HashMap::new();
     for tok in tokenize(r_str) {
@@ -133,8 +116,8 @@ pub(crate) fn baseline_search_impl(
     }
 
     let mut evidence: HashMap<AnswerKey, f64> = HashMap::new();
-    for &(t, c1) in t1_cols.keys() {
-        for &(t2, c2) in t2_cols.keys() {
+    for &(t, c1) in &t1_cols {
+        for &(t2, c2) in &t2_cols {
             if t != t2 || c1 == c2 {
                 continue;
             }
@@ -162,22 +145,9 @@ pub(crate) fn baseline_search_impl(
 /// Figure 4: the annotation-aware processor. With `use_relations = false`,
 /// tables qualify through column-type annotations alone (`T1`, `T2`
 /// columns in the same table); with `use_relations = true`, the pair must
-/// additionally be annotated with `R` in the correct orientation.
-#[deprecated(since = "0.2.0", note = "use `SearchEngine::search` with `Query::Typed`")]
-pub fn typed_search(
-    _catalog: &Catalog,
-    index: &SearchIndex,
-    corpus: &AnnotatedCorpus,
-    q: &EntityQuery,
-    use_relations: bool,
-) -> Vec<RankedAnswer> {
-    typed_search_impl(index, corpus, q, use_relations)
-}
-
-/// The Figure 4 processor body; shared by the deprecated free function,
-/// the join processor, and [`SearchEngine::search`](crate::SearchEngine::search).
-/// (The catalog is no longer needed here: the subtype expansion moved into
-/// `SearchIndex::build`.)
+/// additionally be annotated with `R` in the correct orientation. Shared
+/// by the join processor. (The catalog is not needed here: the subtype
+/// expansion lives in `SearchIndex::build`.)
 pub(crate) fn typed_search_impl(
     index: &SearchIndex,
     corpus: &AnnotatedCorpus,

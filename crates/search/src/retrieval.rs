@@ -76,19 +76,19 @@ impl TableIndex {
                 }
             }
             let ann = &corpus.annotations[ti];
-            for ty in ann.column_types.values().flatten() {
+            for ty in in_key_order(&ann.column_types) {
                 if ty.index() < catalog.num_types() {
-                    add(&mut vocab, catalog.type_name(*ty));
+                    add(&mut vocab, catalog.type_name(ty));
                 }
             }
-            for rel in ann.relations.values().flatten() {
+            for rel in in_key_order(&ann.relations) {
                 if rel.index() < catalog.num_relations() {
-                    add(&mut vocab, catalog.relation_name(*rel));
+                    add(&mut vocab, catalog.relation_name(rel));
                 }
             }
-            for e in ann.cell_entities.values().flatten() {
+            for e in in_key_order(&ann.cell_entities) {
                 if e.index() < catalog.num_entities() {
-                    add(&mut vocab, catalog.entity_name(*e));
+                    add(&mut vocab, catalog.entity_name(e));
                 }
             }
             let mut row: Vec<(u32, u32)> = tf.into_iter().collect();
@@ -217,6 +217,15 @@ impl TableIndex {
             k,
         )
     }
+}
+
+/// The non-`na` decisions of an annotation map, in key order: label
+/// interning order decides token ids and with them the order each table's
+/// norm is summed in, so hash order must not reach it.
+fn in_key_order<K: Ord + Copy, V: Copy>(map: &HashMap<K, Option<V>>) -> Vec<V> {
+    let mut decisions: Vec<(K, V)> = map.iter().filter_map(|(&k, &v)| Some((k, v?))).collect();
+    decisions.sort_unstable_by_key(|&(k, _)| k);
+    decisions.into_iter().map(|(_, v)| v).collect()
 }
 
 #[cfg(test)]

@@ -1,16 +1,18 @@
 //! Equivalence and property pins for the retrieval & augmentation
 //! subsystem: annotation worker count never changes any answer, results
-//! are deterministic across engine rebuilds, and the wire codecs
-//! round-trip every representable query and answer.
+//! are deterministic across engine rebuilds down to the score bits, and
+//! the wire codecs round-trip every representable query and answer.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use webtable_catalog::{generate_world, EntityId, RelationId, TypeId, WorldConfig};
-use webtable_core::Annotator;
+use webtable_core::{Annotator, TableAnnotation};
 use webtable_search::wire::{decode_answers, decode_query, encode_answers, encode_query};
-use webtable_search::{AnswerKey, Query, RankedAnswer, SearchEngine};
-use webtable_tables::{NoiseConfig, TableGenerator, TruthMask};
+use webtable_search::{
+    build_workload, AnnotatedCorpus, AnswerKey, Query, RankedAnswer, SearchEngine, TableIndex,
+};
+use webtable_tables::{NoiseConfig, Table, TableGenerator, TruthMask};
 
 fn build_engine(seed: u64, workers: usize) -> (webtable_catalog::World, SearchEngine) {
     let w = generate_world(&WorldConfig::tiny(seed)).unwrap();
@@ -77,6 +79,83 @@ fn rebuilds_are_byte_identical() {
             "rebuild changed answers for {q:?}"
         );
     }
+
+    // A default-scale world under web noise leaves enough annotation labels
+    // out of the cell text that hash-map iteration order, if it reached
+    // the table index, would move token ids and norms — and score bits.
+    let w = generate_world(&WorldConfig { seed: 42, ..Default::default() }).unwrap();
+    let annotator = Annotator::new(Arc::clone(&w.catalog));
+    let mut g = TableGenerator::new(&w, NoiseConfig::web(), TruthMask::full(), 42);
+    let tables = g.gen_corpus(40, 10).into_iter().map(|lt| lt.table).collect();
+    let engine = SearchEngine::from_tables(&annotator, tables, 2);
+    let corpus = engine.corpus();
+    let mut linked: Vec<EntityId> = corpus
+        .annotations
+        .iter()
+        .flat_map(|a| a.cell_entities.values().flatten().copied())
+        .collect();
+    linked.sort_unstable();
+    linked.dedup();
+    linked.truncate(300);
+    let table_bits = |index: &TableIndex| -> Vec<Vec<(AnswerKey, u64)>> {
+        linked.iter().map(|&e| score_bits(index.search(w.catalog.entity_name(e), 10))).collect()
+    };
+    let want = table_bits(&TableIndex::build(corpus, &w.catalog));
+    for round in 0..20 {
+        // Collecting into fresh maps gives every copy its own hash seed.
+        let annotations = corpus
+            .annotations
+            .iter()
+            .map(|a| TableAnnotation {
+                cell_entities: a.cell_entities.iter().map(|(&k, &v)| (k, v)).collect(),
+                cell_confidence: a.cell_confidence.iter().map(|(&k, &v)| (k, v)).collect(),
+                column_types: a.column_types.iter().map(|(&k, &v)| (k, v)).collect(),
+                relations: a.relations.iter().map(|(&k, &v)| (k, v)).collect(),
+                bp_iterations: a.bp_iterations,
+                converged: a.converged,
+            })
+            .collect();
+        let copy = AnnotatedCorpus::from_parts(corpus.tables.clone(), annotations);
+        let got = table_bits(&TableIndex::build(&copy, &w.catalog));
+        assert!(got == want, "table index rebuild {round} changed score bits");
+    }
+
+    // Baseline evidence sums: a tiny world repeats each fact across many
+    // tables, and dropped tokens make the partial-overlap terms that sum
+    // differently in a different order. Baseline reads no annotations.
+    let w = generate_world(&WorldConfig::tiny(42)).unwrap();
+    let noise = NoiseConfig {
+        token_drop_rate: 0.5,
+        synonym_rate: 0.0,
+        header_drop_rate: 0.0,
+        header_synonym_rate: 0.0,
+        context_hint_rate: 0.5,
+        ..NoiseConfig::wiki()
+    };
+    let mut g = TableGenerator::new(&w, noise, TruthMask::full(), 42);
+    let relations: Vec<RelationId> = w.catalog.relation_ids().collect();
+    let tables: Vec<Table> = relations
+        .iter()
+        .flat_map(|&r| (0..30).map(|_| g.gen_table_for_relation(r, 10).table).collect::<Vec<_>>())
+        .collect();
+    let annotations = vec![TableAnnotation::default(); tables.len()];
+    let engine = SearchEngine::build(
+        Arc::clone(&w.catalog),
+        AnnotatedCorpus::from_parts(tables, annotations),
+    );
+    for (_, queries) in &build_workload(&w, &relations, 10, 42).per_relation {
+        for &q in queries {
+            let first = score_bits(engine.search(&Query::Baseline(q)));
+            for _ in 0..10 {
+                let again = score_bits(engine.search(&Query::Baseline(q)));
+                assert!(again == first, "baseline {q:?} changed score bits between calls");
+            }
+        }
+    }
+}
+
+fn score_bits(answers: Vec<RankedAnswer>) -> Vec<(AnswerKey, u64)> {
+    answers.into_iter().map(|a| (a.key, a.score.to_bits())).collect()
 }
 
 /// `k` truncates a stable ranking: the top-k answers are always a prefix

@@ -1,20 +1,11 @@
-//! Front-door equivalence on the search side: every deprecated free
-//! processor (`baseline_search`, `typed_search`, `join_search`) must
-//! return exactly what `SearchEngine::search` returns for the matching
-//! `Query`, and the precomputed `columns_of_type` postings must equal the
-//! old on-the-fly subtype scan.
-//!
-//! Deprecated calls here are the point of the suite.
-#![allow(deprecated)]
+//! Search-index equivalence: the precomputed `columns_of_type` postings
+//! must equal the old on-the-fly subtype scan over the corpus annotations.
 
 use std::sync::{Arc, OnceLock};
 
 use webtable_catalog::{Catalog, TypeId, World};
 use webtable_core::Annotator;
-use webtable_search::{
-    baseline_search, build_workload, join_search, typed_search, AnswerKey, ColRef, EntityQuery,
-    JoinQuery, Query, SearchEngine,
-};
+use webtable_search::{ColRef, SearchEngine};
 use webtable_tables::{NoiseConfig, TableGenerator, TruthMask};
 
 fn fixture() -> &'static (World, SearchEngine) {
@@ -33,57 +24,6 @@ fn fixture() -> &'static (World, SearchEngine) {
         let engine = SearchEngine::from_tables(&annotator, tables, 2);
         (w, engine)
     })
-}
-
-fn queries(w: &World) -> Vec<EntityQuery> {
-    let workload = build_workload(w, &[w.relations.directed], 6, 3);
-    workload.per_relation[0].1.clone()
-}
-
-#[test]
-fn baseline_search_matches_engine() {
-    let (w, engine) = fixture();
-    for q in queries(w) {
-        let legacy = baseline_search(&w.catalog, engine.index(), engine.corpus(), &q);
-        let front = engine.search(&Query::Baseline(q));
-        assert_eq!(legacy, front, "baseline {q:?}");
-    }
-}
-
-#[test]
-fn typed_search_matches_engine_both_modes() {
-    let (w, engine) = fixture();
-    for q in queries(w) {
-        for use_relations in [false, true] {
-            let legacy =
-                typed_search(&w.catalog, engine.index(), engine.corpus(), &q, use_relations);
-            let front = engine.search(&Query::Typed { query: q, use_relations });
-            assert_eq!(legacy, front, "typed use_relations={use_relations} {q:?}");
-        }
-    }
-}
-
-#[test]
-fn join_search_matches_engine_projection() {
-    let (w, engine) = fixture();
-    // Pick a join that the corpus can express: directed ∘ born_in.
-    let born_in = w.oracle.relation(w.relations.born_in);
-    for &(_, city) in born_in.tuples.iter().take(8) {
-        let jq = JoinQuery { r1: w.relations.directed, r2: w.relations.born_in, e3: city };
-        let legacy = join_search(&w.catalog, engine.index(), engine.corpus(), &jq, 10);
-        let front = engine.search(&Query::Join { query: jq, mid_k: 10 });
-        // The engine projects join answers onto e1, keeping the best
-        // chain per answer — verify against the same projection of the
-        // legacy output.
-        let mut want: Vec<(AnswerKey, f64)> = Vec::new();
-        for a in legacy {
-            if !want.iter().any(|(k, _)| *k == a.e1) {
-                want.push((a.e1, a.score));
-            }
-        }
-        let got: Vec<(AnswerKey, f64)> = front.into_iter().map(|a| (a.key, a.score)).collect();
-        assert_eq!(want, got, "join projection for e3={city:?}");
-    }
 }
 
 /// The pre-PR-5 `columns_of_type`, reimplemented verbatim as the oracle:

@@ -17,6 +17,7 @@ use webtable_core::Annotator;
 use webtable_search::wire::encode_query;
 use webtable_search::{EntityQuery, Query, SearchEngine};
 use webtable_tables::{NoiseConfig, ReusePolicy, Table, TableGenerator, TruthMask};
+use webtable_text::LemmaIndex;
 
 use crate::error::ServeError;
 use crate::manifest::Manifest;
@@ -289,15 +290,15 @@ pub fn grow(dir: &Path) -> Result<u64, ServeError> {
 
     // Restore the current segments, append the delta, and persist only
     // the new segment's snapshot.
-    let mut segment_bytes = Vec::with_capacity(manifest.segments.len());
+    let mut segments = Vec::with_capacity(manifest.segments.len());
     for seg in &manifest.segments {
         let path = dir.join(seg);
         let bytes =
             std::fs::read(&path).map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
-        segment_bytes.push(bytes);
+        let index = LemmaIndex::from_snapshot_bytes(&bytes).map_err(webtable_core::Error::from)?;
+        segments.push(Arc::new(index));
     }
-    let annotator =
-        Annotator::from_segment_snapshots_bytes(Arc::clone(&base_catalog), &segment_bytes)?;
+    let annotator = Annotator::from_lemma_segments(Arc::clone(&base_catalog), segments)?;
     let grown_annotator = annotator.append_segment(Arc::clone(&grown))?;
     let segments = grown_annotator.index.segments();
     let delta = segments.last().expect("append produced a segment");

@@ -161,7 +161,7 @@ impl SimEngine {
     /// in-order token-id sequence (duplicates preserved — the term
     /// frequencies behind the TFIDF vector). The index build normalizes
     /// every lemma once up front and stores the sequence beside the
-    /// document, so snapshots and incremental extends can rebuild documents
+    /// document, so snapshots and segment replay can rebuild documents
     /// without re-tokenizing any string. Pays one extra `Vec` clone over
     /// [`doc`](SimEngine::doc); only build-time paths should call it.
     pub(crate) fn doc_with_token_ids_from_norm(&self, norm: String) -> (TextDoc, Vec<u32>) {

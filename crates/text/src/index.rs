@@ -33,18 +33,16 @@
 //! (asserted by `tests/build_equivalence.rs`; [`LemmaIndex::layout`]
 //! exposes the raw arrays for that comparison).
 //!
-//! ## Persistence and incremental growth
+//! ## Persistence
 //!
 //! The index keeps each lemma's in-order token-id sequence beside the CSR
 //! tables. That side table makes the whole structure self-contained: a
 //! snapshot ([`LemmaIndex::save`] / [`LemmaIndex::load`], format in
 //! [`crate::snapshot`]) round-trips bit-identically without re-tokenizing a
-//! single string, and [`LemmaIndex::extend`] grows the index over an
-//! append-only catalog change by reusing the stored sequences for every
-//! pre-existing lemma — only genuinely new lemma text is ever tokenized.
-//! `extend` reproduces `build` exactly (same interning order, same IDF,
-//! same CSR layout), so the grown index is bit-identical to a from-scratch
-//! rebuild on the grown catalog (asserted by `tests/extend_equivalence.rs`).
+//! single string, and a [`SegmentedIndex`](crate::SegmentedIndex) replays
+//! the stored sequences of its segments to derive collection-wide
+//! statistics, so catalog growth is one new segment over the appended
+//! slice ([`SegmentedIndex::append`](crate::SegmentedIndex::append)).
 //!
 //! ## WAND top-k early termination
 //!
@@ -65,9 +63,9 @@ use std::ops::Range;
 use webtable_catalog::{Catalog, EntityId, TypeId};
 
 use crate::engine::{SimEngine, SimEngineBuilder, StringSim, TextDoc};
-use crate::mmap::{NumericSlice, SharedStr};
-use crate::tfidf::{cosine, IdfTable};
-use crate::tokenize::{normalize, to_sorted_set, tokenize, Vocab};
+use crate::mmap::NumericSlice;
+use crate::tfidf::cosine;
+use crate::tokenize::{normalize, tokenize, Vocab};
 
 /// What a lemma belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -249,11 +247,6 @@ impl Csr {
             vals.len() as u32
         };
         self.offsets.make_mut().push(total);
-    }
-
-    /// Number of rows.
-    pub(crate) fn num_rows(&self) -> usize {
-        self.offsets.len() - 1
     }
 
     #[inline]
@@ -462,8 +455,8 @@ pub struct LemmaIndex {
     pub(crate) lemmas: Vec<IndexedLemma>,
     /// lemma index → its in-order token-id sequence (duplicates kept — the
     /// term frequencies behind the TFIDF vectors). This is the material
-    /// snapshots and [`extend`](LemmaIndex::extend) rebuild documents from
-    /// without re-tokenizing any string.
+    /// snapshots and segmented indexes rebuild documents from without
+    /// re-tokenizing any string.
     pub(crate) lemma_tokens: Csr,
     /// token id → entity-lemma indices (CSR, ascending per token).
     pub(crate) entity_postings: Csr,
@@ -496,8 +489,9 @@ pub const DEFAULT_RESCORING_FACTOR: usize = 6;
 /// without ever admitting meaningfully more work.
 pub(crate) const WAND_SAFETY: f64 = 1.0 + 1e-9;
 
-/// Why [`LemmaIndex::extend`] rejected a grown catalog. The base index is
-/// never modified: on error no partially-merged state exists anywhere.
+/// Why [`SegmentedIndex::append`](crate::SegmentedIndex::append) rejected
+/// a grown catalog. The base index is never modified: on error no
+/// partially-merged state exists anywhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExtendError {
     /// The grown catalog has fewer entities or types than the base index
@@ -537,22 +531,6 @@ impl std::fmt::Display for ExtendError {
 }
 
 impl std::error::Error for ExtendError {}
-
-/// One slot of [`LemmaIndex::extend`]'s merged lemma stream.
-enum Slot<'a> {
-    /// Reuse the base lemma at this index (norm + token sequence).
-    Reuse(u32),
-    /// New lemma text to normalize and tokenize.
-    Fresh(RefKind, u32, &'a str),
-}
-
-/// `"entity"` / `"type"`, for error messages.
-fn kind_name(kind: RefKind) -> &'static str {
-    match kind {
-        RefKind::Entity => "entity",
-        RefKind::Type => "type",
-    }
-}
 
 /// `0` = one worker per available core.
 fn resolve_threads(threads: usize) -> usize {
@@ -678,7 +656,7 @@ impl LemmaIndex {
         // Normalize once up front: interning and document preparation then
         // see the *same* token streams (`normalize` is idempotent), which
         // makes the vocabulary a pure function of the lemma norms — the
-        // property `extend` and the snapshot codec rebuild from.
+        // property segment replay and the snapshot codec rebuild from.
         let norms: Vec<String> = par_map(&raw, threads, |(_, _, text)| normalize(text));
 
         // Vocabulary interning must run serially (ids depend on first-seen
@@ -694,7 +672,7 @@ impl LemmaIndex {
         // Query-document preparation is the heaviest build phase
         // (re-tokenization + TFIDF vectors); the engine is frozen, so it
         // shards trivially. Each lemma's in-order token-id sequence is kept
-        // beside its document for persistence and incremental growth.
+        // beside its document for persistence and segment replay.
         let prepped: Vec<(RefKind, u32, String)> = raw
             .into_iter()
             .zip(norms)
@@ -716,13 +694,8 @@ impl LemmaIndex {
         LemmaIndex::assemble(engine, lemmas, lemma_tokens, entities.len(), types.len(), threads)
     }
 
-    /// Final assembly shared by [`build_with_threads`] and [`extend`]: CSR
-    /// postings and owner maps, WAND upper bounds, content digest. Pure in
-    /// its inputs, so two callers arriving with identical engines, lemmas,
-    /// and token sequences produce bit-identical indexes.
-    ///
-    /// [`build_with_threads`]: LemmaIndex::build_with_threads
-    /// [`extend`]: LemmaIndex::extend
+    /// Final assembly of [`build_from_lists`](LemmaIndex::build_from_lists):
+    /// CSR postings and owner maps, WAND upper bounds, content digest.
     fn assemble(
         engine: SimEngine,
         lemmas: Vec<IndexedLemma>,
@@ -766,179 +739,6 @@ impl LemmaIndex {
         };
         idx.content_digest = idx.compute_content_digest();
         idx
-    }
-
-    /// Grows the index over an append-only catalog change, using all
-    /// available cores (see [`extend_with_threads`]).
-    ///
-    /// [`extend_with_threads`]: LemmaIndex::extend_with_threads
-    pub fn extend(&self, grown: &Catalog) -> Result<LemmaIndex, ExtendError> {
-        self.extend_with_threads(grown, 0)
-    }
-
-    /// Builds the index for `grown` — a catalog whose entity/type id prefix
-    /// is exactly this index's catalog, with new entities and types appended
-    /// — reusing this index's stored tokenization for every pre-existing
-    /// lemma. Only new lemma text is normalized and tokenized.
-    ///
-    /// The result is **bit-identical** to `LemmaIndex::build(grown)`: the
-    /// interning walk replays the build's first-occurrence order (stored
-    /// token sequences stand in for re-tokenized base lemmas), the IDF table
-    /// is recounted over the full lemma stream, and the same sharded CSR
-    /// assembly runs over the merged lemma list. (IDF weights shift whenever
-    /// the collection grows, so TFIDF vectors are recomputed for all lemmas
-    /// — that recomputation is integer/float work on the stored sequences,
-    /// not string processing.)
-    ///
-    /// Returns [`ExtendError`] if `grown` is not an append-only superset:
-    /// fewer entities/types than the base, or any base entity/type whose
-    /// lemma list differs from what this index was built over.
-    pub fn extend_with_threads(
-        &self,
-        grown: &Catalog,
-        threads: usize,
-    ) -> Result<LemmaIndex, ExtendError> {
-        let threads = resolve_threads(threads);
-        let base_entities = self.entity_lemmas.num_rows();
-        let base_types = self.type_lemmas.num_rows();
-        if grown.num_entities() < base_entities {
-            return Err(ExtendError::BaseShrunk {
-                what: "entities",
-                base: base_entities,
-                grown: grown.num_entities(),
-            });
-        }
-        if grown.num_types() < base_types {
-            return Err(ExtendError::BaseShrunk {
-                what: "types",
-                base: base_types,
-                grown: grown.num_types(),
-            });
-        }
-
-        // Plan the merged lemma stream in build() order (entities in id
-        // order then types, each owner's lemmas in declaration order):
-        // every slot either reuses a base lemma's prepared data or carries
-        // new text. The base prefix is verified lemma-by-lemma on the
-        // *normalized* text — the form every downstream artifact derives
-        // from — so a reworded base lemma is rejected, not silently merged.
-        let mut slots: Vec<Slot<'_>> = Vec::new();
-        for e in grown.entity_ids() {
-            self.plan_owner(
-                &mut slots,
-                RefKind::Entity,
-                e.raw(),
-                grown.entity_lemmas(e),
-                base_entities,
-            )?;
-        }
-        for t in grown.type_ids() {
-            self.plan_owner(&mut slots, RefKind::Type, t.raw(), grown.type_lemmas(t), base_types)?;
-        }
-
-        // Serial interning walk replaying build()'s first-occurrence order.
-        // Reused lemmas walk their stored id sequences through a lazy
-        // old-id → new-id remap (one hash insert per *distinct* surviving
-        // token, array lookups after that); only fresh text is tokenized.
-        const UNSET: u32 = u32::MAX;
-        let old_vocab = self.engine.vocab();
-        let mut vocab = Vocab::new();
-        let mut remap = vec![UNSET; old_vocab.len()];
-        let mut lemma_tokens = Csr::empty();
-        let mut row = Vec::new();
-        let mut meta: Vec<(RefKind, u32, SharedStr)> = Vec::with_capacity(slots.len());
-        for slot in &slots {
-            row.clear();
-            match *slot {
-                Slot::Reuse(li) => {
-                    for &old in self.lemma_tokens.row(li) {
-                        let mapped = &mut remap[old as usize];
-                        if *mapped == UNSET {
-                            *mapped = vocab.intern(old_vocab.word(old).expect("token id in vocab"));
-                        }
-                        row.push(*mapped);
-                    }
-                    let l = &self.lemmas[li as usize];
-                    meta.push((l.kind, l.owner, l.doc.norm.clone()));
-                }
-                Slot::Fresh(kind, owner, text) => {
-                    let norm = normalize(text);
-                    for word in tokenize(&norm) {
-                        row.push(vocab.intern(&word));
-                    }
-                    meta.push((kind, owner, norm.into()));
-                }
-            }
-            lemma_tokens.push_row(&row);
-        }
-
-        // IDF recount over the merged stream (document frequencies and the
-        // collection size both changed), exactly as `SimEngineBuilder::freeze`
-        // counts them.
-        let mut idf = IdfTable::new(vocab.len());
-        for i in 0..meta.len() {
-            idf.add_document(&to_sorted_set(lemma_tokens.row(i as u32).to_vec()));
-        }
-        let engine = SimEngine::from_parts(vocab, idf);
-
-        // Document rebuild from the merged sequences — integer/float work
-        // only, sharded like build()'s preparation phase.
-        let idxs: Vec<u32> = (0..meta.len() as u32).collect();
-        let lemmas: Vec<IndexedLemma> = par_map(&idxs, threads, |&i| {
-            let (kind, owner, ref norm) = meta[i as usize];
-            let doc = engine.doc_from_token_ids(norm.clone(), lemma_tokens.row(i));
-            IndexedLemma { kind, owner, doc }
-        });
-
-        Ok(LemmaIndex::assemble(
-            engine,
-            lemmas,
-            lemma_tokens,
-            grown.num_entities(),
-            grown.num_types(),
-            threads,
-        ))
-    }
-
-    /// Verifies one grown-catalog owner against the base index and appends
-    /// its lemma slots to the [`extend`](LemmaIndex::extend) stream plan.
-    fn plan_owner<'a>(
-        &self,
-        slots: &mut Vec<Slot<'a>>,
-        kind: RefKind,
-        owner: u32,
-        texts: &'a [String],
-        base_count: usize,
-    ) -> Result<(), ExtendError> {
-        if (owner as usize) >= base_count {
-            for text in texts {
-                slots.push(Slot::Fresh(kind, owner, text));
-            }
-            return Ok(());
-        }
-        let owner_rows = match kind {
-            RefKind::Entity => &self.entity_lemmas,
-            RefKind::Type => &self.type_lemmas,
-        };
-        let row = owner_rows.row(owner);
-        if row.len() != texts.len() {
-            return Err(ExtendError::BaseChanged {
-                what: kind_name(kind),
-                owner,
-                detail: format!("lemma count changed from {} to {}", row.len(), texts.len()),
-            });
-        }
-        for (&li, text) in row.iter().zip(texts) {
-            if self.lemmas[li as usize].doc.norm.as_str() != normalize(text) {
-                return Err(ExtendError::BaseChanged {
-                    what: kind_name(kind),
-                    owner,
-                    detail: format!("lemma {text:?} was reworded"),
-                });
-            }
-            slots.push(Slot::Reuse(li));
-        }
-        Ok(())
     }
 
     /// Hashes every part of the index a probe can observe: the vocabulary

@@ -4,9 +4,8 @@
 //!
 //! ## Why segments
 //!
-//! A monolithic index must be rebuilt (or [`LemmaIndex::extend`]ed and then
-//! re-persisted whole) every time the catalog grows. Segments make the delta
-//! cheap: a catalog append *is* a new segment — built in the background over
+//! A monolithic index must be rebuilt and re-persisted whole every time
+//! the catalog grows. Segments make the delta cheap: a catalog append *is* a new segment — built in the background over
 //! just the appended slice, written to its own snapshot file, and published
 //! by adding one line to the manifest. Old segment files are never rewritten.
 //!
@@ -29,8 +28,7 @@
 //!   the remapped token ids against the global IDF — bitwise equal to the
 //!   monolithic build's documents) and a dense global→local token map.
 //!
-//! This is [`LemmaIndex::extend`]'s replay machinery generalized to many
-//! bases: pure integer/float work over stored sequences, no string
+//! This replay is pure integer/float work over stored sequences: no string
 //! re-tokenization, and no segment file is ever touched.
 //!
 //! A probe then fans out over segments: per segment the query terms are
@@ -375,8 +373,10 @@ impl SegmentedIndex {
     }
 
     /// Verifies that this index covers exactly `cat` (count match + lemma
-    /// text match on normalized form), the segmented analogue of
-    /// [`LemmaIndex::verify_catalog`].
+    /// text match on normalized form). The lemma-level check matters
+    /// because two same-generator catalogs can share shape while naming
+    /// entirely different things — a count-only check would attach the
+    /// wrong index and serve nonsense without an error.
     pub fn verify_catalog(&self, cat: &Catalog) -> Result<(), String> {
         if self.num_indexed_entities() != cat.num_entities() {
             return Err(format!(
@@ -903,8 +903,7 @@ fn seg_owner_check(
 
 /// Replays every segment's stored token sequences in monolithic build order
 /// (entity lemmas across segments, then type lemmas), interning a union
-/// vocabulary and recounting IDF — the multi-base generalization of
-/// [`LemmaIndex::extend`]'s replay. Pure integer/float work.
+/// vocabulary and recounting IDF. Pure integer/float work.
 fn derive_global(segments: &[Arc<LemmaIndex>]) -> GlobalState {
     let n = segments.len();
     let entity_counts: Vec<u32> = segments.iter().map(|s| s.entity_lemma_total()).collect();

@@ -883,61 +883,6 @@ impl LemmaIndex {
         }
     }
 
-    /// Verifies this index indexes exactly `cat`: the owner tables cover
-    /// the catalog's entity and type id spaces AND every owner's lemma list
-    /// matches the indexed one on normalized text. The lemma-level check
-    /// matters because two same-generator catalogs can share shape while
-    /// naming entirely different things — a count-only check would attach
-    /// the wrong snapshot and serve nonsense without an error. Cost is one
-    /// `normalize` + compare per catalog lemma, paid once per restart. On
-    /// mismatch the error describes the *first* difference found, so a
-    /// same-shape wrong-snapshot failure names the offending lemma instead
-    /// of reporting two identical count pairs.
-    pub fn verify_catalog(&self, cat: &webtable_catalog::Catalog) -> Result<(), String> {
-        if self.num_indexed_entities() != cat.num_entities()
-            || self.num_indexed_types() != cat.num_types()
-        {
-            return Err(format!(
-                "entity/type counts differ: index has {}/{}, catalog has {}/{}",
-                self.num_indexed_entities(),
-                self.num_indexed_types(),
-                cat.num_entities(),
-                cat.num_types()
-            ));
-        }
-        let lemmas_match = |what: &str, owner: u32, row: &[u32], texts: &[String]| {
-            if row.len() != texts.len() {
-                return Err(format!(
-                    "{what} {owner} has {} lemmas in the catalog but {} in the index",
-                    texts.len(),
-                    row.len()
-                ));
-            }
-            for (&li, text) in row.iter().zip(texts) {
-                if self.lemmas[li as usize].doc.norm.as_str() != crate::tokenize::normalize(text) {
-                    return Err(format!(
-                        "{what} {owner} lemma {text:?} does not match the indexed text \
-                         {:?} — wrong snapshot for this catalog",
-                        self.lemmas[li as usize].doc.norm
-                    ));
-                }
-            }
-            Ok(())
-        };
-        for e in cat.entity_ids() {
-            lemmas_match("entity", e.raw(), self.entity_lemmas.row(e.raw()), cat.entity_lemmas(e))?;
-        }
-        for t in cat.type_ids() {
-            lemmas_match("type", t.raw(), self.type_lemmas.row(t.raw()), cat.type_lemmas(t))?;
-        }
-        Ok(())
-    }
-
-    /// [`verify_catalog`](LemmaIndex::verify_catalog) as a boolean.
-    pub fn covers_catalog(&self, cat: &webtable_catalog::Catalog) -> bool {
-        self.verify_catalog(cat).is_ok()
-    }
-
     /// Number of entity ids the index was built over.
     pub fn num_indexed_entities(&self) -> usize {
         self.entity_lemmas.offsets.len() - 1

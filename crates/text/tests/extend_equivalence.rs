@@ -1,12 +1,18 @@
-//! Incremental-growth equivalence: `LemmaIndex::extend` over an
-//! append-only catalog change must be **bit-identical** to
-//! `LemmaIndex::build` on the grown catalog — same content digest, same
-//! CSR layout, same probe results — at every thread count, and must reject
-//! non-append changes with a typed [`ExtendError`].
+//! Incremental-growth equivalence: [`SegmentedIndex::append`] over an
+//! append-only catalog change must answer every probe exactly like
+//! `LemmaIndex::build` on the grown catalog, must build a bit-identical
+//! delta segment at every thread count (so the grown index's digest is
+//! deterministic), must survive a snapshot round-trip, and must reject
+//! non-append changes with a typed [`ExtendError`] without touching the
+//! base index.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use webtable_catalog::{Catalog, CatalogBuilder};
-use webtable_text::{ExtendError, IndexLayout, LemmaIndex, ProbeScratch, DEFAULT_RESCORING_FACTOR};
+use webtable_text::{
+    ExtendError, IndexLayout, LemmaIndex, ProbeScratch, SegmentedIndex, DEFAULT_RESCORING_FACTOR,
+};
 
 /// Deterministic catalog family: `build_catalog(t, e)` is an exact
 /// id-prefix of `build_catalog(t', e')` whenever `t ≤ t'` and `e ≤ e'`.
@@ -14,6 +20,17 @@ use webtable_text::{ExtendError, IndexLayout, LemmaIndex, ProbeScratch, DEFAULT_
 /// never appends a synthetic root that would shift type ids between the
 /// base and the grown catalog.
 fn build_catalog(n_types: usize, n_entities: usize) -> Catalog {
+    catalog_with(n_types, n_entities, |_, _| {})
+}
+
+/// [`build_catalog`] with `edit(j, lemmas)` applied to each entity's
+/// lemma list (name first) — how a test makes a same-shape catalog that
+/// is not an append-only change.
+fn catalog_with(
+    n_types: usize,
+    n_entities: usize,
+    edit: impl Fn(usize, &mut Vec<String>),
+) -> Catalog {
     let mut b = CatalogBuilder::new();
     let root = b.add_type("thing", &[]).unwrap();
     let mut types = vec![root];
@@ -24,17 +41,25 @@ fn build_catalog(n_types: usize, n_entities: usize) -> Catalog {
     }
     for j in 0..n_entities {
         // Shared tokens ("entity", "alpha") across old and new lemmas
-        // stress the old-id → new-id remap; the per-entity suffix keeps
-        // names unique.
+        // stress the segment-local to global token remap; the per-entity
+        // suffix keeps names unique.
         let t = if types.len() > 1 { types[1 + j % (types.len() - 1)] } else { root };
-        let e = b
-            .add_entity(format!("entity alpha{j} item"), &[&format!("e{j}"), "alpha shared"], &[t])
-            .unwrap();
+        let mut lemmas =
+            vec![format!("entity alpha{j} item"), format!("e{j}"), "alpha shared".into()];
         if j % 3 == 0 {
-            b.add_entity_lemma(e, &format!("alpha alpha {j}"));
+            lemmas.push(format!("alpha alpha {j}"));
         }
+        edit(j, &mut lemmas);
+        let aliases: Vec<&str> = lemmas[1..].iter().map(String::as_str).collect();
+        b.add_entity(lemmas[0].clone(), &aliases, &[t]).unwrap();
     }
     b.finish().unwrap()
+}
+
+/// The base index as `webtable-serve grow` starts from it: one monolithic
+/// segment over the base catalog.
+fn base_index(cat: &Catalog) -> SegmentedIndex {
+    SegmentedIndex::from_single(Arc::new(LemmaIndex::build(cat)))
 }
 
 fn assert_layouts_bit_identical(got: &IndexLayout<'_>, want: &IndexLayout<'_>, ctx: &str) {
@@ -53,30 +78,53 @@ fn assert_layouts_bit_identical(got: &IndexLayout<'_>, want: &IndexLayout<'_>, c
     assert_eq!(bits(got.type_token_ub), bits(want.type_token_ub), "{ctx}: type upper bounds");
 }
 
-fn assert_extend_matches_rebuild(base_cat: &Catalog, grown_cat: &Catalog, queries: &[&str]) {
-    let base = LemmaIndex::build(base_cat);
-    let rebuilt = LemmaIndex::build(grown_cat);
-    for threads in [1usize, 2, 4] {
-        let extended = base.extend_with_threads(grown_cat, threads).expect("append-only growth");
-        assert_eq!(extended.num_lemmas(), rebuilt.num_lemmas(), "threads={threads}");
-        assert_eq!(extended.content_digest(), rebuilt.content_digest(), "threads={threads}");
-        assert_layouts_bit_identical(
-            &extended.layout(),
-            &rebuilt.layout(),
-            &format!("extend threads={threads}"),
+/// Asserts that every segment of `got` is bit-identical to the same
+/// segment of `want` and that the combined digests agree.
+fn assert_segments_bit_identical(got: &SegmentedIndex, want: &SegmentedIndex, ctx: &str) {
+    assert_eq!(got.segment_count(), want.segment_count(), "{ctx}: segment count");
+    assert_eq!(got.content_digest(), want.content_digest(), "{ctx}: content digest");
+    for (i, (g, w)) in got.segments().iter().zip(want.segments()).enumerate() {
+        assert_eq!(g.content_digest(), w.content_digest(), "{ctx}: segment {i} digest");
+        assert_layouts_bit_identical(&g.layout(), &w.layout(), &format!("{ctx}: segment {i}"));
+    }
+}
+
+/// Asserts that `grown` answers every query exactly like `rebuilt`.
+fn assert_probes_match(grown: &SegmentedIndex, rebuilt: &LemmaIndex, queries: &[&str], ctx: &str) {
+    let mut s1 = ProbeScratch::new();
+    let mut s2 = ProbeScratch::new();
+    for text in queries {
+        let qg = grown.doc(text);
+        let qr = rebuilt.doc(text);
+        assert_eq!(qg.token_set, qr.token_set, "{ctx}: token set for {text:?}");
+        assert_eq!(qg.vec.pairs(), qr.vec.pairs(), "{ctx}: tfidf vec for {text:?}");
+        assert_eq!(
+            grown.entity_candidates_with(&qg, 8, DEFAULT_RESCORING_FACTOR, &mut s1),
+            rebuilt.entity_candidates_with(&qr, 8, DEFAULT_RESCORING_FACTOR, &mut s2),
+            "{ctx}: entity candidates for {text:?}"
         );
-        let mut scratch = ProbeScratch::new();
-        for text in queries {
-            let qe = extended.doc(text);
-            let qr = rebuilt.doc(text);
-            assert_eq!(qe.token_set, qr.token_set, "threads={threads} {text:?}");
-            assert_eq!(qe.vec.pairs(), qr.vec.pairs(), "threads={threads} {text:?}");
-            assert_eq!(
-                extended.entity_candidates_with(&qe, 8, DEFAULT_RESCORING_FACTOR, &mut scratch),
-                rebuilt.entity_candidates_with(&qr, 8, DEFAULT_RESCORING_FACTOR, &mut scratch),
-                "threads={threads} {text:?}"
-            );
-        }
+        assert_eq!(
+            grown.type_candidates_with(&qg, 4, DEFAULT_RESCORING_FACTOR, &mut s1),
+            rebuilt.type_candidates_with(&qr, 4, DEFAULT_RESCORING_FACTOR, &mut s2),
+            "{ctx}: type candidates for {text:?}"
+        );
+    }
+}
+
+fn assert_extend_matches_rebuild(base_cat: &Catalog, grown_cat: &Catalog, queries: &[&str]) {
+    let base = base_index(base_cat);
+    let rebuilt = LemmaIndex::build(grown_cat);
+    let single_threaded = base.append(grown_cat, 1).expect("append-only growth");
+    for threads in [1usize, 2, 4] {
+        let grown = base.append(grown_cat, threads).expect("append-only growth");
+        let ctx = format!("append threads={threads}");
+        assert_eq!(grown.num_lemmas(), rebuilt.num_lemmas(), "{ctx}");
+        assert_eq!(grown.num_indexed_entities(), grown_cat.num_entities(), "{ctx}");
+        assert_eq!(grown.num_indexed_types(), grown_cat.num_types(), "{ctx}");
+        grown.verify_catalog(grown_cat).expect("grown index covers the grown catalog");
+        // The delta segment does not depend on the build's thread count.
+        assert_segments_bit_identical(&grown, &single_threaded, &ctx);
+        assert_probes_match(&grown, &rebuilt, queries, &ctx);
     }
 }
 
@@ -98,6 +146,11 @@ fn extend_with_new_entities_and_types_matches_rebuild() {
 fn extend_with_no_growth_matches_rebuild() {
     let cat = build_catalog(3, 10);
     assert_extend_matches_rebuild(&cat, &cat, &["entity alpha3", "k1"]);
+    // Appending nothing adds no segment and leaves the digest alone.
+    let base = base_index(&cat);
+    let same = base.append(&cat, 1).expect("no-op append");
+    assert_eq!(same.segment_count(), 1);
+    assert_eq!(same.content_digest(), base.content_digest());
 }
 
 #[test]
@@ -105,21 +158,36 @@ fn chained_extends_match_single_rebuild() {
     let c1 = build_catalog(2, 6);
     let c2 = build_catalog(3, 14);
     let c3 = build_catalog(5, 30);
-    let chained =
-        LemmaIndex::build(&c1).extend(&c2).expect("first growth").extend(&c3).expect("second");
+    let chained = base_index(&c1)
+        .append(&c2, 1)
+        .expect("first growth")
+        .append(&c3, 1)
+        .expect("second growth");
+    assert_eq!(chained.segment_count(), 3, "one delta segment per growth step");
+    chained.verify_catalog(&c3).expect("chained index covers the final catalog");
     let rebuilt = LemmaIndex::build(&c3);
-    assert_eq!(chained.content_digest(), rebuilt.content_digest());
-    assert_layouts_bit_identical(&chained.layout(), &rebuilt.layout(), "chained");
+    assert_eq!(chained.num_lemmas(), rebuilt.num_lemmas());
+    assert_probes_match(
+        &chained,
+        &rebuilt,
+        &["entity alpha5 item", "e20", "alpha shared", "k4", "alpha alpha 27", "zzz"],
+        "chained",
+    );
 }
 
 #[test]
 fn shrunk_catalog_is_rejected() {
-    let base = build_catalog(3, 10);
-    let smaller = build_catalog(3, 4);
-    let idx = LemmaIndex::build(&base);
-    match idx.extend(&smaller) {
+    let base = base_index(&build_catalog(3, 10));
+    match base.append(&build_catalog(3, 4), 1) {
         Err(ExtendError::BaseShrunk { what, base, grown }) => {
             assert_eq!(what, "entities");
+            assert!(grown < base, "{grown} < {base}");
+        }
+        other => panic!("expected BaseShrunk, got {other:?}"),
+    }
+    match base.append(&build_catalog(1, 10), 1) {
+        Err(ExtendError::BaseShrunk { what, base, grown }) => {
+            assert_eq!(what, "types");
             assert!(grown < base, "{grown} < {base}");
         }
         other => panic!("expected BaseShrunk, got {other:?}"),
@@ -128,88 +196,72 @@ fn shrunk_catalog_is_rejected() {
 
 #[test]
 fn reworded_base_lemma_is_rejected() {
-    let base = build_catalog(2, 5);
-    let idx = LemmaIndex::build(&base);
+    let base_cat = build_catalog(2, 5);
+    let base = base_index(&base_cat);
+    let digest = base.content_digest();
     // Same counts, but entity 0's name differs: not an append-only change.
-    let mut b = CatalogBuilder::new();
-    let root = b.add_type("thing", &[]).unwrap();
-    let mut types = vec![root];
-    for i in 0..2 {
-        let t = b.add_type(format!("kind{i} category"), &[&format!("k{i}")]).unwrap();
-        b.add_subtype(t, root);
-        types.push(t);
-    }
-    for j in 0..5usize {
-        let name = if j == 0 {
-            "entity REWORDED item".to_string()
-        } else {
-            format!("entity alpha{j} item")
-        };
-        let e = b.add_entity(name, &[&format!("e{j}"), "alpha shared"], &[types[1]]).unwrap();
-        if j % 3 == 0 {
-            b.add_entity_lemma(e, &format!("alpha alpha {j}"));
+    let changed = catalog_with(2, 5, |j, lemmas| {
+        if j == 0 {
+            lemmas[0] = "entity REWORDED item".into();
         }
-    }
-    let changed = b.finish().unwrap();
-    match idx.extend(&changed) {
+    });
+    match base.append(&changed, 1) {
         Err(ExtendError::BaseChanged { what, owner, .. }) => {
             assert_eq!(what, "entity");
             assert_eq!(owner, 0);
         }
         other => panic!("expected BaseChanged, got {other:?}"),
     }
-    // The failed extend must not have touched the base index.
-    assert_eq!(idx.content_digest(), LemmaIndex::build(&base).content_digest());
+    // The failed append must not have touched the base index.
+    assert_eq!(base.segment_count(), 1);
+    assert_eq!(base.content_digest(), digest);
+    assert_eq!(digest, LemmaIndex::build(&base_cat).content_digest());
 }
 
 #[test]
 fn added_lemma_on_base_entity_is_rejected() {
-    let base = build_catalog(2, 5);
-    let idx = LemmaIndex::build(&base);
-    let mut b = CatalogBuilder::new();
-    let root = b.add_type("thing", &[]).unwrap();
-    let mut types = vec![root];
-    for i in 0..2 {
-        let t = b.add_type(format!("kind{i} category"), &[&format!("k{i}")]).unwrap();
-        b.add_subtype(t, root);
-        types.push(t);
-    }
-    for j in 0..5usize {
-        let e = b
-            .add_entity(
-                format!("entity alpha{j} item"),
-                &[&format!("e{j}"), "alpha shared"],
-                &[types[1]],
-            )
-            .unwrap();
-        if j % 3 == 0 {
-            b.add_entity_lemma(e, &format!("alpha alpha {j}"));
-        }
+    let base = base_index(&build_catalog(2, 5));
+    let changed = catalog_with(2, 5, |j, lemmas| {
         if j == 2 {
-            b.add_entity_lemma(e, "a brand new alias");
+            lemmas.push("a brand new alias".into());
         }
-    }
-    let changed = b.finish().unwrap();
-    assert!(matches!(idx.extend(&changed), Err(ExtendError::BaseChanged { owner: 2, .. })));
+    });
+    assert!(matches!(
+        base.append(&changed, 1),
+        Err(ExtendError::BaseChanged { what: "entity", owner: 2, .. })
+    ));
 }
 
 #[test]
 fn extend_then_snapshot_roundtrips() {
-    // The grown index is a first-class index: snapshot round-trip holds.
-    let base = build_catalog(2, 6);
-    let grown = build_catalog(3, 15);
-    let extended = LemmaIndex::build(&base).extend(&grown).expect("growth");
-    let bytes = extended.to_snapshot_bytes().expect("serialize");
-    let loaded = LemmaIndex::from_snapshot_bytes(&bytes).expect("deserialize");
-    assert_eq!(loaded.content_digest(), extended.content_digest());
-    assert_layouts_bit_identical(&loaded.layout(), &extended.layout(), "extend+snapshot");
-    // And a snapshot-loaded index can itself be extended.
-    let base_loaded = LemmaIndex::from_snapshot_bytes(
-        &LemmaIndex::build(&base).to_snapshot_bytes().expect("serialize base"),
-    )
-    .expect("load base");
-    let extended_from_loaded = base_loaded.extend(&grown).expect("extend a loaded index");
-    assert_eq!(extended_from_loaded.content_digest(), extended.content_digest());
+    // Every segment of the grown index is a first-class index: a snapshot
+    // round-trip of each one reassembles the same grown index.
+    let base_cat = build_catalog(2, 6);
+    let grown_cat = build_catalog(3, 15);
+    let base = base_index(&base_cat);
+    let grown = base.append(&grown_cat, 1).expect("growth");
+    let roundtrip = |idx: &SegmentedIndex| -> SegmentedIndex {
+        SegmentedIndex::from_segments(
+            idx.segments()
+                .iter()
+                .map(|seg| {
+                    let bytes = seg.to_snapshot_bytes().expect("serialize segment");
+                    Arc::new(LemmaIndex::from_snapshot_bytes(&bytes).expect("deserialize segment"))
+                })
+                .collect(),
+        )
+    };
+    assert_segments_bit_identical(&roundtrip(&grown), &grown, "append+snapshot");
+    // And a snapshot-loaded base can itself be grown, to the same index.
+    let grown_from_loaded =
+        roundtrip(&base).append(&grown_cat, 1).expect("append to a loaded base");
+    assert_segments_bit_identical(&grown_from_loaded, &grown, "snapshot+append");
+    assert_probes_match(
+        &grown_from_loaded,
+        &LemmaIndex::build(&grown_cat),
+        &["entity alpha9 item", "alpha shared", "k2"],
+        "snapshot+append",
+    );
 }
 
 proptest! {

@@ -3,20 +3,35 @@
 //! same digest, same probes), and at 2/4/8 segments the cross-segment
 //! top-k merge must reproduce the monolithic candidate lists bit for bit —
 //! across probe modes, with sequential and parallel fan-out, and after
-//! growing by [`SegmentedIndex::append`].
+//! growing by [`SegmentedIndex::append`] (chained, and over segments
+//! restored from snapshot bytes), which must reject non-append changes
+//! with a typed [`ExtendError`].
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use webtable_catalog::{generate_world, Catalog, CatalogBuilder, EntityId, TypeId, WorldConfig};
 use webtable_text::{
-    LemmaIndex, ProbeMode, ProbeScratch, SegmentedIndex, DEFAULT_RESCORING_FACTOR,
+    ExtendError, LemmaIndex, ProbeMode, ProbeScratch, SegmentedIndex, DEFAULT_RESCORING_FACTOR,
 };
 
 /// Deterministic catalog family: `build_catalog(t, e)` is an exact
-/// id-prefix of `build_catalog(t', e')` whenever `t ≤ t'` and `e ≤ e'`
-/// (same construction as `extend_equivalence.rs`).
+/// id-prefix of `build_catalog(t', e')` whenever `t ≤ t'` and `e ≤ e'`.
+/// An explicit root type keeps the hierarchy single-rooted, so `finish`
+/// never appends a synthetic root that would shift type ids between the
+/// base and the grown catalog.
 fn build_catalog(n_types: usize, n_entities: usize) -> Catalog {
+    catalog_with(n_types, n_entities, |_, _| {})
+}
+
+/// [`build_catalog`] with `edit(j, lemmas)` applied to each entity's
+/// lemma list (name first) — how a test makes a same-shape catalog that
+/// is not an append-only change.
+fn catalog_with(
+    n_types: usize,
+    n_entities: usize,
+    edit: impl Fn(usize, &mut Vec<String>),
+) -> Catalog {
     let mut b = CatalogBuilder::new();
     let root = b.add_type("thing", &[]).unwrap();
     let mut types = vec![root];
@@ -27,12 +42,16 @@ fn build_catalog(n_types: usize, n_entities: usize) -> Catalog {
     }
     for j in 0..n_entities {
         let t = if types.len() > 1 { types[1 + j % (types.len() - 1)] } else { root };
-        let e = b
-            .add_entity(format!("entity alpha{j} item"), &[&format!("e{j}"), "alpha shared"], &[t])
-            .unwrap();
+        // Shared tokens ("entity", "alpha") across old and new lemmas
+        // stress the segment-local to global token remap.
+        let mut lemmas =
+            vec![format!("entity alpha{j} item"), format!("e{j}"), "alpha shared".into()];
         if j % 3 == 0 {
-            b.add_entity_lemma(e, &format!("alpha alpha {j}"));
+            lemmas.push(format!("alpha alpha {j}"));
         }
+        edit(j, &mut lemmas);
+        let aliases: Vec<&str> = lemmas[1..].iter().map(String::as_str).collect();
+        b.add_entity(lemmas[0].clone(), &aliases, &[t]).unwrap();
     }
     b.finish().unwrap()
 }
@@ -166,6 +185,27 @@ fn append_matches_monolithic_rebuild() {
     let same = grown.append(&grown_cat, 1).expect("no-op append");
     assert_eq!(same.segment_count(), 3);
     assert_probe_equivalence(&mono, &same, &queries, "no-op append");
+
+    // A second append chains onto the first.
+    let third_cat = build_catalog(6, 55);
+    let chained = grown.append(&third_cat, 1).expect("second append-only growth");
+    assert_eq!(chained.segment_count(), 4);
+    let mono3 = LemmaIndex::build(&third_cat);
+    assert_probe_equivalence(&mono3, &chained, &queries_for(&third_cat), "chained appends");
+
+    // Segments restored from snapshot bytes grow exactly like built ones.
+    let restored: Vec<Arc<LemmaIndex>> = base
+        .segments()
+        .iter()
+        .map(|seg| {
+            let bytes = seg.to_snapshot_bytes().expect("serialize segment");
+            Arc::new(LemmaIndex::from_snapshot_bytes(&bytes).expect("restore segment"))
+        })
+        .collect();
+    let grown_restored = SegmentedIndex::from_segments(restored)
+        .append(&grown_cat, 1)
+        .expect("append over restored segments");
+    assert_probe_equivalence(&mono, &grown_restored, &queries, "append over restored segments");
 }
 
 #[test]
@@ -173,31 +213,40 @@ fn append_rejects_non_append_changes() {
     let base_cat = build_catalog(3, 24);
     let shrunk = build_catalog(3, 10);
     let base = SegmentedIndex::build_split(&base_cat, 2, 1);
-    assert!(base.append(&shrunk, 1).is_err(), "shrunk catalog must be rejected");
+    match base.append(&shrunk, 1) {
+        Err(ExtendError::BaseShrunk { what: "entities", base, grown }) => {
+            assert!(grown < base, "{grown} < {base}");
+        }
+        other => panic!("shrunk catalog must be rejected with BaseShrunk, got {other:?}"),
+    }
 
     // Same counts but a reworded base lemma: must be rejected, not merged.
-    let mut b = CatalogBuilder::new();
-    let root = b.add_type("thing", &[]).unwrap();
-    let mut types = vec![root];
-    for i in 0..3 {
-        let t = b.add_type(format!("kind{i} category"), &[&format!("k{i}")]).unwrap();
-        b.add_subtype(t, root);
-        types.push(t);
-    }
-    for j in 0..24 {
-        let t = types[1 + j % 3];
-        let name = if j == 7 {
-            "reworded entity name".to_string()
-        } else {
-            format!("entity alpha{j} item")
-        };
-        let e = b.add_entity(name, &[&format!("e{j}"), "alpha shared"], &[t]).unwrap();
-        if j % 3 == 0 {
-            b.add_entity_lemma(e, &format!("alpha alpha {j}"));
+    let reworded = catalog_with(3, 24, |j, lemmas| {
+        if j == 7 {
+            lemmas[0] = "reworded entity name".into();
         }
-    }
-    let reworded = b.finish().unwrap();
-    assert!(base.append(&reworded, 1).is_err(), "reworded base lemma must be rejected");
+    });
+    assert!(
+        matches!(
+            base.append(&reworded, 1),
+            Err(ExtendError::BaseChanged { what: "entity", owner: 7, .. })
+        ),
+        "reworded base lemma must be rejected"
+    );
+
+    // A new lemma on a base entity changes it too.
+    let added = catalog_with(3, 24, |j, lemmas| {
+        if j == 2 {
+            lemmas.push("a brand new alias".into());
+        }
+    });
+    assert!(
+        matches!(
+            base.append(&added, 1),
+            Err(ExtendError::BaseChanged { what: "entity", owner: 2, .. })
+        ),
+        "a lemma added to a base entity must be rejected"
+    );
 }
 
 #[test]
@@ -219,9 +268,18 @@ proptest! {
     fn segmented_merge_is_exact_on_random_catalogs(
         n_types in 0usize..5,
         n_entities in 1usize..48,
+        added_types in 0usize..3,
+        added_entities in 0usize..15,
     ) {
         let cat = build_catalog(n_types, n_entities);
         let queries = queries_for(&cat);
         assert_segmented_matches_monolithic(&cat, &queries);
+
+        let grown_cat = build_catalog(n_types + added_types, n_entities + added_entities);
+        let grown = SegmentedIndex::build_split(&cat, 2, 1)
+            .append(&grown_cat, 1)
+            .expect("append-only growth");
+        let mono = LemmaIndex::build(&grown_cat);
+        assert_probe_equivalence(&mono, &grown, &queries_for(&grown_cat), "random append");
     }
 }

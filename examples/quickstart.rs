@@ -64,8 +64,7 @@ fn main() {
 
     // --- Annotate through the front door ---------------------------------
     // One request, one response: `Annotator::run` is the single execution
-    // entry point (the former `annotate*` methods are deprecated wrappers
-    // over it). A request scales from this one table to a corpus by
+    // entry point. A request scales from this one table to a corpus by
     // swapping the slice and adding `.workers(n)`.
     let annotator = Annotator::new(Arc::clone(&catalog));
     let model_view = {

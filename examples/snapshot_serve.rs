@@ -140,7 +140,8 @@ fn main() {
     let over_http = decode_response(&body).expect("wire response");
 
     // The same request through the in-process front door.
-    let fresh = Annotator::with_index(Arc::clone(&catalog), Arc::new(built));
+    let fresh = Annotator::from_lemma_segments(Arc::clone(&catalog), vec![Arc::new(built)])
+        .expect("the built index covers the catalog");
     let in_process = fresh.run(&AnnotateRequest::one(&table));
     assert_eq!(
         annotation_to_json(&over_http.annotations[0]).encode(),

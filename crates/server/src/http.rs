@@ -164,8 +164,10 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes `resp` to the stream and flushes. Errors are swallowed — the
-/// peer hanging up mid-response is not a server failure.
+/// Writes `resp` to the stream in one `write_all`, so Nagle's algorithm
+/// never holds the body back behind its own unacknowledged header.
+/// Errors are swallowed — the peer hanging up mid-response is not a
+/// server failure.
 pub fn write_response(stream: &mut TcpStream, resp: &Response) {
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -173,8 +175,7 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) {
         reason(resp.status),
         resp.body.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(resp.body.as_bytes());
+    let _ = stream.write_all(&[head.as_bytes(), resp.body.as_bytes()].concat());
     let _ = stream.flush();
 }
 

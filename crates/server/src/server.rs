@@ -1,17 +1,20 @@
 //! The serving loop: bounded accept queue, fixed worker pool,
 //! structured request logs, clean shutdown.
 //!
-//! One acceptor thread polls the listener and pushes connections onto a
-//! bounded queue; `workers` threads pop, parse, route, respond. When
-//! the queue is full the acceptor answers 503 `queue_full` inline and
-//! drops the connection — load sheds at the front door instead of
-//! queueing unboundedly. Shutdown (via `POST /admin/shutdown` or
-//! [`ServerHandle::stop`]) stops accepting, drains the queue, and joins
-//! every thread — the same stop-feeding-then-join discipline the
-//! annotator's deadline cancellation uses.
+//! One acceptor thread blocks in `accept()` and pushes each connection,
+//! stamped with the instant it was accepted, onto a bounded queue;
+//! `workers` threads block on the queue's condvar, then pop, parse,
+//! route, respond. Nothing polls. When the queue is full the acceptor
+//! answers 503 `queue_full` inline and drops the connection — load
+//! sheds at the front door instead of queueing unboundedly. Shutdown
+//! (via `POST /admin/shutdown` or [`ServerHandle::stop`]) sets the flag
+//! and wakes the acceptor with one connect to its own address; the
+//! acceptor stops accepting and wakes the workers, which drain the queue
+//! and exit — the same stop-feeding-then-join discipline the annotator's
+//! deadline cancellation uses.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
@@ -43,9 +46,10 @@ impl Default for ServerConfig {
     }
 }
 
+/// Accepted connections, each with the instant `accept()` returned it.
 #[derive(Debug, Default)]
 struct Queue {
-    conns: Mutex<VecDeque<TcpStream>>,
+    conns: Mutex<VecDeque<(TcpStream, Instant)>>,
     ready: Condvar,
 }
 
@@ -69,26 +73,22 @@ impl ServerHandle {
         &self.state
     }
 
-    /// Requests shutdown and joins every thread. Idempotent with an
-    /// `/admin/shutdown` that already set the flag.
-    pub fn stop(mut self) {
+    /// Requests shutdown, wakes the acceptor and joins every thread.
+    /// Idempotent with an `/admin/shutdown` that already set the flag.
+    pub fn stop(self) {
         self.state.shutdown.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
+        wake_acceptor(self.addr);
+        self.wait();
+    }
+
+    /// Joins every thread: returns once shutdown has been requested and
+    /// the workers have drained the queue. The worker that answers
+    /// `POST /admin/shutdown` wakes the acceptor itself, so this needs no
+    /// [`stop`](ServerHandle::stop).
+    pub fn wait(self) {
+        for t in self.threads {
             let _ = t.join();
         }
-    }
-
-    /// True once the shutdown flag is set (by stop or the admin route).
-    pub fn is_shutting_down(&self) -> bool {
-        self.state.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Blocks until shutdown has been requested, then joins threads.
-    pub fn wait(self) {
-        while !self.is_shutting_down() {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        self.stop();
     }
 }
 
@@ -100,7 +100,6 @@ pub fn serve(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let queue = Arc::new(Queue::default());
     let mut threads = Vec::with_capacity(config.workers + 1);
 
@@ -114,14 +113,21 @@ pub fn serve(
         let state = Arc::clone(&state);
         let queue = Arc::clone(&queue);
         let log = config.log_requests;
-        threads.push(std::thread::spawn(move || worker_loop(state, queue, log)));
+        threads.push(std::thread::spawn(move || worker_loop(state, queue, local, log)));
     }
     Ok(ServerHandle { addr: local, state, threads })
 }
 
 fn accept_loop(listener: TcpListener, state: Arc<AppState>, queue: Arc<Queue>, depth: usize) {
-    while !state.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let next = listener.accept();
+        let accepted = Instant::now();
+        // Shutdown's wake-up connect lands here; it, and any connection
+        // racing it, is dropped unserved.
+        if state.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match next {
             Ok((mut conn, _)) => {
                 let mut q = queue.conns.lock().unwrap_or_else(|e| e.into_inner());
                 if q.len() >= depth {
@@ -135,41 +141,59 @@ fn accept_loop(listener: TcpListener, state: Arc<AppState>, queue: Arc<Queue>, d
                         },
                     );
                 } else {
-                    q.push_back(conn);
+                    q.push_back((conn, accepted));
                     drop(q);
                     queue.ready.notify_one();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Out of file descriptors and the like: back off, then retry.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
-    // Wake every worker so they observe the flag and drain out.
+    // Notify under the lock: a worker that checked the flag before it
+    // was set still holds the lock until its `wait` releases it, so it
+    // is either waiting now or will see the flag on its next check.
+    let _q = queue.conns.lock().unwrap_or_else(|e| e.into_inner());
     queue.ready.notify_all();
 }
 
-fn worker_loop(state: Arc<AppState>, queue: Arc<Queue>, log: bool) {
+/// Wakes an acceptor blocked in `accept()` with one connect to its bound
+/// address (`0.0.0.0` and `[::]` via loopback). Errors are ignored: a
+/// refused connect means the acceptor has already closed its listener,
+/// and a timed-out one that its backlog is full, so `accept()` is about
+/// to return anyway.
+fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
+fn worker_loop(state: Arc<AppState>, queue: Arc<Queue>, addr: SocketAddr, log: bool) {
     loop {
-        let conn = {
+        let next = {
             let mut q = queue.conns.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(conn) = q.pop_front() {
-                    break Some(conn);
+                if let Some(next) = q.pop_front() {
+                    break Some(next);
                 }
                 if state.shutdown.load(Ordering::Acquire) {
                     break None;
                 }
-                let (guard, _) = queue
-                    .ready
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
+                q = queue.ready.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let Some(mut conn) = conn else { return };
-        serve_connection(&state, &mut conn, log);
+        let Some((conn, accepted)) = next else { return };
+        let running = !state.shutdown.load(Ordering::Acquire);
+        serve_connection(&state, conn, accepted, log);
+        // The request that set the flag (`POST /admin/shutdown`) wakes
+        // the acceptor, which is blocked in `accept()`.
+        if running && state.shutdown.load(Ordering::Acquire) {
+            wake_acceptor(addr);
+        }
     }
 }
 
@@ -188,15 +212,17 @@ fn route_isolated(state: &AppState, req: &crate::http::Request, ingress: Instant
 }
 
 /// Reads, routes, responds, records, logs — one connection, one
-/// request (`Connection: close`).
-fn serve_connection(state: &AppState, conn: &mut TcpStream, log: bool) {
+/// request (`Connection: close`). `accepted` is when `accept()` returned
+/// the connection: annotate deadlines count from there, so time spent
+/// queued counts against the budget.
+fn serve_connection(state: &AppState, mut conn: TcpStream, accepted: Instant, log: bool) {
     // A stalled peer must not pin a worker: bound both directions.
     let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
-    let ingress = Instant::now();
-    let (endpoint, method, path, routed) = match read_request(conn) {
+    let started = Instant::now();
+    let (endpoint, method, path, routed) = match read_request(&mut conn) {
         Ok(Some(req)) => {
-            let routed = route_isolated(state, &req, ingress);
+            let routed = route_isolated(state, &req, accepted);
             (endpoint_of(&req.path), req.method, req.path, routed)
         }
         Ok(None) => return, // peer connected and left; nothing to answer
@@ -208,19 +234,32 @@ fn serve_connection(state: &AppState, conn: &mut TcpStream, log: bool) {
         ),
     };
     let Routed { response, query_kind } = routed;
-    let duration_us = ingress.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    let duration_us = micros(started.elapsed());
     state.metrics.record(endpoint, response.status, duration_us);
     if let Some(kind) = query_kind {
         state.metrics.record_query_kind(kind);
     }
-    write_response(conn, &response);
+    write_response(&mut conn, &response);
+    // Send the FIN now, so the client's read-to-end completes before
+    // this worker formats and writes its log line.
+    let _ = conn.shutdown(Shutdown::Write);
     if log {
-        eprintln!("{}", log_line(state, &method, &path, query_kind, response.status, duration_us));
+        let queue_us = micros(started.saturating_duration_since(accepted));
+        eprintln!(
+            "{}",
+            log_line(state, &method, &path, query_kind, response.status, duration_us, queue_us)
+        );
     }
+}
+
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// One structured request-log line (sorted keys, stable shape).
 /// `query_kind` is present for decoded search requests, `null` elsewhere.
+/// `dur_us` runs from dequeue to just before the response is written;
+/// `queue_us` from accept to dequeue.
 fn log_line(
     state: &AppState,
     method: &str,
@@ -228,6 +267,7 @@ fn log_line(
     query_kind: Option<&'static str>,
     status: u16,
     duration_us: u64,
+    queue_us: u64,
 ) -> String {
     let ts_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -239,6 +279,7 @@ fn log_line(
         ("method".into(), Json::str(method)),
         ("path".into(), Json::str(path)),
         ("query_kind".into(), query_kind.map(Json::str).unwrap_or(Json::Null)),
+        ("queue_us".into(), Json::u64(queue_us)),
         ("status".into(), Json::u64(u64::from(status))),
         ("ts_ms".into(), Json::u64(ts_ms)),
     ])

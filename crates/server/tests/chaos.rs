@@ -7,6 +7,7 @@
 //! - a failing swap leaves the old generation serving and marks the
 //!   server degraded; a later healthy swap clears it;
 //! - injected handler panics cost one 500 each, never a worker;
+//! - an annotate deadline counts the time its request sat queued;
 //! - a failed promote leaves the data directory exactly as it was.
 //!
 //! The fault registry is process-global, so every test here serializes
@@ -18,10 +19,10 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use webtable_core::wire::Json;
+use webtable_core::wire::{Json, WireAnnotateRequest};
 use webtable_server::fault::{self, FaultAction, FaultPlan, FaultPoint};
-use webtable_server::state::RetryPolicy;
-use webtable_server::{demo, manifest};
+use webtable_server::state::{tables_from_wire, RetryPolicy};
+use webtable_server::{client, demo, manifest};
 
 use common::TestServer;
 
@@ -81,6 +82,46 @@ fn handler_latency_fault_delays_but_serves() {
     let (status, body) = srv.request_raw("GET", "/health", "");
     assert_eq!(status, 200, "{body}");
     assert!(t0.elapsed() >= Duration::from_millis(80), "latency was injected");
+}
+
+#[test]
+fn annotate_deadline_counts_time_spent_queued() {
+    let _chaos = lock();
+    let srv = TestServer::start("chaos-queued-deadline");
+    let corpus = std::fs::read_to_string(srv.dir.join("tables-g1.json")).unwrap();
+    let mut tables = tables_from_wire(&corpus).unwrap();
+    tables.truncate(1);
+    let mut wire_req = WireAnnotateRequest::new(tables);
+    wire_req.timeout_ms = Some(100);
+
+    // Hold all four workers in a 1 s handler latency. A worker consumes
+    // one fault on entering the handler and sleeps there, so an empty
+    // budget means four distinct workers are asleep.
+    let plan =
+        Arc::new(FaultPlan::new(0).fail(FaultPoint::Handler, FaultAction::LatencyMs(1000), 4));
+    let _g = fault::arm(Arc::clone(&plan));
+    let held: Vec<_> = (0..4)
+        .map(|_| {
+            let addr = srv.addr.clone();
+            std::thread::spawn(move || client::request(&addr, "GET", "/health", ""))
+        })
+        .collect();
+    let t0 = std::time::Instant::now();
+    while plan.remaining(FaultPoint::Handler) > 0 {
+        assert!(t0.elapsed() < Duration::from_secs(30), "workers never reached the handler");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // The annotate waits in the queue for most of a second, far past its
+    // 100 ms budget, which runs from accept.
+    let (status, body) = srv.request_raw("POST", "/v1/annotate", &wire_req.encode());
+    assert_eq!(status, 504, "{body}");
+    assert_eq!(error_code(&body), "deadline_exceeded");
+    assert_eq!(srv.state().metrics.deadlines_exceeded.load(Ordering::Relaxed), 1);
+    for t in held {
+        let (status, body) = t.join().unwrap().expect("held request");
+        assert_eq!(status, 200, "{body}");
+    }
 }
 
 #[test]

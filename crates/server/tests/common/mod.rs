@@ -31,6 +31,16 @@ impl TestServer {
     /// chaos tests use [`RetryPolicy::immediate`] so failing swaps
     /// never sleep.
     pub fn start_with_retry(name: &str, policy: RetryPolicy) -> TestServer {
+        TestServer::launch(name, policy, "127.0.0.1:0")
+    }
+
+    /// [`start`](TestServer::start) bound to `bind` instead of an
+    /// ephemeral loopback port.
+    pub fn start_on(name: &str, bind: &str) -> TestServer {
+        TestServer::launch(name, RetryPolicy::default(), bind)
+    }
+
+    fn launch(name: &str, policy: RetryPolicy, bind: &str) -> TestServer {
         let dir = std::env::temp_dir().join(format!("webtable-srv-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         demo::prepare_data_dir(&dir, SEED).expect("prepare demo data");
@@ -38,7 +48,7 @@ impl TestServer {
         let mut state = AppState::new(dir.clone(), initial, Duration::from_secs(30));
         state.swap_retry = policy;
         let config = ServerConfig { workers: 4, queue_depth: 64, log_requests: false };
-        let handle = serve("127.0.0.1:0", Arc::new(state), config).expect("bind");
+        let handle = serve(bind, Arc::new(state), config).expect("bind");
         let addr = handle.addr().to_string();
         TestServer { dir, handle: Some(handle), addr }
     }

@@ -5,6 +5,9 @@
 
 mod common;
 
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
+
 use webtable_catalog::{generate_world, WorldConfig};
 use webtable_core::wire::{annotation_to_json, decode_response, Json, WireAnnotateRequest};
 use webtable_search::wire::{encode_answers, encode_query};
@@ -189,4 +192,48 @@ fn shutdown_route_stops_the_server_cleanly() {
     assert!(body.contains("shutting down"));
     // stop() joins every thread; a hang here is a failed drain.
     srv.handle.take().unwrap().stop();
+}
+
+/// Runs `f` on a helper thread and fails if it has not returned within
+/// 30 s: a shutdown that hangs fails the test instead of stalling the
+/// suite, and no duration is asserted beyond that.
+fn returns_within_30s(what: &str, f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(()) => helper.join().unwrap(),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(helper.join().unwrap_err())
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what} did not return within 30 s"),
+    }
+}
+
+#[test]
+fn wait_returns_after_the_shutdown_route_alone() {
+    let mut srv = TestServer::start("roundtrip-wait");
+    let handle = srv.handle.take().unwrap();
+    let (status, body) = srv.request("POST", "/admin/shutdown", "");
+    assert_eq!(status, 200, "{body}");
+    // `webtable-serve serve` blocks in wait() with nothing calling
+    // stop(): the worker that answered the route must wake the acceptor.
+    returns_within_30s("wait() after POST /admin/shutdown", move || handle.wait());
+}
+
+#[test]
+fn stop_returns_on_a_wildcard_bound_server() {
+    let mut srv = TestServer::start_on("roundtrip-wildcard", "0.0.0.0:0");
+    let handle = srv.handle.take().unwrap();
+    assert!(handle.addr().ip().is_unspecified(), "{}", handle.addr());
+    returns_within_30s("stop() on 0.0.0.0", move || handle.stop());
+}
+
+#[test]
+fn stop_returns_on_a_server_that_never_saw_a_connection() {
+    let mut srv = TestServer::start("roundtrip-idle");
+    let handle = srv.handle.take().unwrap();
+    returns_within_30s("stop() on an idle server", move || handle.stop());
 }

@@ -1,16 +1,25 @@
-//! Machine-readable perf tracking for the candidate-generation hot path.
+//! Machine-readable perf tracking: the workspace's one micro-benchmark
+//! harness.
 //!
 //! Runs the `candidates/*` and `annotate/collective` workloads (the phases
 //! Figure 7 attributes ~80% of annotation time to) plus the corpus-scale
 //! `index_build/*` (parallel `LemmaIndex::build`; heap vs mmap snapshot
-//! load vs rebuild), `batch/*` (cross-table candidate cache), and
-//! `serve/load` (closed-loop HTTP serving latency/throughput over an
-//! in-process `webtable-serve`) workloads with a
-//! calibrated wall-clock timer and writes one JSON record per benchmark to
-//! `BENCH_candidates.json` at the **workspace root** (resolved from the
-//! crate's manifest directory, so CI and a human running from inside a
-//! crate directory agree on the output location), so every PR leaves a
-//! perf data point behind.
+//! load vs rebuild), `batch/*` (cross-table candidate cache),
+//! `stream/annotate` and `serve/load` (closed-loop HTTP serving
+//! latency/throughput over an in-process `webtable-serve`) workloads,
+//! then the per-component groups: `candidates/rescoring_factor`,
+//! `annotate/algorithm` (collective vs the Fig. 2 and baseline
+//! annotators), `annotate/phase` (per-table model phases under the served
+//! config), `bp/*` (§4.4.2 message passing and model build), `similarity`
+//! (§4.2.1 kernels), `catalog` (§4.2.3 probes), `search/*` (§5 index build
+//! and query processors), `wire/*` (HTTP body codecs) and `batch/threads`.
+//! A calibrated wall-clock timer measures every group except `serve/load`
+//! (the load harness's client latencies) and `annotate/phase` (the
+//! annotator's own phase timings). The report holds one JSON record per
+//! benchmark in `BENCH_candidates.json` at the **workspace root** (resolved
+//! from the crate's manifest directory, so CI and a human running from
+//! inside a crate directory agree on the output location), so every PR
+//! leaves a perf data point behind.
 //!
 //! ```text
 //! cargo run --release -p webtable-bench --bin perf_report -- [--quick] [--out PATH]
@@ -19,15 +28,22 @@
 //! `--quick` takes 3 samples per benchmark instead of 25 (CI smoke mode).
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use webtable_bench::load::{annotate_smoke_body, run_closed_loop, LoadRequest};
 use webtable_bench::{batch_annotator, duplicate_heavy_corpus, fixture, tables};
+use webtable_catalog::EntityId;
+use webtable_core::wire::{decode_response, encode_response, WireAnnotateRequest};
 use webtable_core::{
-    AnnotateRequest, AnnotatorConfig, CandidateScratch, StreamOptions, TableCandidates,
+    annotate_simple, lca, majority, AnnotateRequest, AnnotatorConfig, CandidateScratch,
+    PhaseTimings, StreamOptions, TableCandidates, TableModel, Weights,
 };
-use webtable_tables::NoiseConfig;
-use webtable_text::{LemmaIndex, ProbeScratch, SegmentedIndex};
+use webtable_factorgraph::{propagate, BpOptions, FactorGraph};
+use webtable_search::wire::{decode_answers, decode_query, encode_answers, encode_query};
+use webtable_search::{build_workload, EntityQuery, Query, SearchEngine, SearchIndex};
+use webtable_tables::{NoiseConfig, Table, TableGenerator, TruthMask};
+use webtable_text::{sim, LemmaIndex, ProbeScratch, SegmentedIndex, SimEngineBuilder};
 
 /// One measured benchmark.
 struct Record {
@@ -142,13 +158,13 @@ fn main() {
         std::env::temp_dir().join(format!("webtable-perf-snapshot-{}.idx", std::process::id()));
     index.segments()[0].save(&snap_path).expect("snapshot save");
     record(&mut records, build_samples, "index_build/snapshot_load", "load", || {
-        std::hint::black_box(LemmaIndex::load(&snap_path).expect("snapshot load"));
+        black_box(LemmaIndex::load(&snap_path).expect("snapshot load"));
     });
     record(&mut records, build_samples, "index_build/snapshot_load", "mmap_load", || {
-        std::hint::black_box(LemmaIndex::load_mmap(&snap_path).expect("snapshot mmap load"));
+        black_box(LemmaIndex::load_mmap(&snap_path).expect("snapshot mmap load"));
     });
     record(&mut records, build_samples, "index_build/snapshot_load", "rebuild", || {
-        std::hint::black_box(LemmaIndex::build_with_threads(catalog, 1));
+        black_box(LemmaIndex::build_with_threads(catalog, 1));
     });
     let _ = std::fs::remove_file(&snap_path);
 
@@ -162,8 +178,8 @@ fn main() {
     ] {
         let doc = index.doc(text);
         record(&mut records, samples, "candidates/index_probe", label, || {
-            std::hint::black_box(index.entity_candidates_with(
-                std::hint::black_box(&doc),
+            black_box(index.entity_candidates_with(
+                black_box(&doc),
                 8,
                 cfg.rescoring_factor,
                 &mut probe,
@@ -183,8 +199,8 @@ fn main() {
             let doc = segmented.doc(text);
             let bench = format!("{label}_s{segment_count}");
             record(&mut records, samples, "candidates/segmented_probe", &bench, || {
-                std::hint::black_box(segmented.entity_candidates_with(
-                    std::hint::black_box(&doc),
+                black_box(segmented.entity_candidates_with(
+                    black_box(&doc),
                     8,
                     cfg.rescoring_factor,
                     &mut probe,
@@ -198,10 +214,10 @@ fn main() {
     for rows in [5usize, 20, 50] {
         let lt = &tables(1, rows, NoiseConfig::web(), 7 + rows as u64)[0];
         record(&mut records, samples, "candidates/table", &rows.to_string(), || {
-            std::hint::black_box(TableCandidates::build_with_scratch(
+            black_box(TableCandidates::build_with_scratch(
                 catalog,
                 index,
-                std::hint::black_box(&lt.table),
+                black_box(&lt.table),
                 &cfg,
                 &mut scratch,
             ));
@@ -213,7 +229,7 @@ fn main() {
     for k in [4usize, 8, 16, 32] {
         let cfg = AnnotatorConfig { entity_k: k, ..Default::default() };
         record(&mut records, samples, "candidates/entity_k", &k.to_string(), || {
-            std::hint::black_box(TableCandidates::build_with_scratch(
+            black_box(TableCandidates::build_with_scratch(
                 catalog,
                 index,
                 &lt.table,
@@ -227,9 +243,7 @@ fn main() {
     for (label, noise) in [("wiki", NoiseConfig::wiki()), ("web", NoiseConfig::web())] {
         let lt = &tables(1, 25, noise, 17)[0];
         record(&mut records, samples, "annotate/collective", label, || {
-            std::hint::black_box(
-                f.annotator.run(&AnnotateRequest::one(std::hint::black_box(&lt.table))),
-            );
+            black_box(f.annotator.run(&AnnotateRequest::one(black_box(&lt.table))));
         });
     }
 
@@ -237,7 +251,7 @@ fn main() {
     //     output is byte-identical at every worker count) ---
     for threads in [1usize, 2, 4] {
         record(&mut records, build_samples, "index_build/threads", &threads.to_string(), || {
-            std::hint::black_box(LemmaIndex::build_with_threads(catalog, threads));
+            black_box(LemmaIndex::build_with_threads(catalog, threads));
         });
     }
 
@@ -250,7 +264,7 @@ fn main() {
     for (label, capacity) in [("uncached", 0usize), ("cached", 1 << 16)] {
         record(&mut records, build_samples, "batch/annotate", label, || {
             let cache = batch.new_cell_cache(capacity);
-            std::hint::black_box(batch.run(&AnnotateRequest::new(&corpus).shared_cache(&cache)));
+            black_box(batch.run(&AnnotateRequest::new(&corpus).shared_cache(&cache)));
         });
     }
 
@@ -266,7 +280,7 @@ fn main() {
             "stream/annotate",
             &format!("batch_w{workers}"),
             || {
-                std::hint::black_box(batch.run(&AnnotateRequest::new(&corpus).workers(workers)));
+                black_box(batch.run(&AnnotateRequest::new(&corpus).workers(workers)));
             },
         );
         record(
@@ -279,7 +293,7 @@ fn main() {
                     corpus.clone(),
                     StreamOptions::default().workers(workers).buffer_bound(8),
                 );
-                std::hint::black_box(stream.count());
+                black_box(stream.count());
             },
         );
     }
@@ -345,6 +359,291 @@ fn main() {
         push("mixed", r.mean_us, r.throughput_rps, r.requests);
         handle.stop();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // Every group below runs after every group above, so the rows above
+    // keep the measurement conditions (heap state, warm memos) they had
+    // before these groups joined the report.
+
+    // --- candidates/rescoring_factor: cosine-rescoring budget sweep, the
+    //     recall/latency dial on the IDF-overlap shortlist (same table and
+    //     scratch path as candidates/entity_k) ---
+    let lt = &tables(1, 20, NoiseConfig::web(), 99)[0];
+    for factor in [1usize, 3, 6, 12] {
+        let cfg = AnnotatorConfig { rescoring_factor: factor, ..Default::default() };
+        record(&mut records, samples, "candidates/rescoring_factor", &factor.to_string(), || {
+            black_box(TableCandidates::build_with_scratch(
+                catalog,
+                index,
+                &lt.table,
+                &cfg,
+                &mut scratch,
+            ));
+        });
+    }
+
+    // --- annotate/algorithm: collective inference vs the Fig. 2 simple
+    //     annotator and the LCA / Majority baselines (Fig. 7) ---
+    let weights = Weights::default();
+    let lt = &tables(1, 25, NoiseConfig::web(), 18)[0];
+    record(&mut records, samples, "annotate/algorithm", "collective", || {
+        black_box(f.annotator.run(&AnnotateRequest::one(black_box(&lt.table))));
+    });
+    record(&mut records, samples, "annotate/algorithm", "simple_fig2", || {
+        black_box(annotate_simple(catalog, index, &cfg, &weights, black_box(&lt.table)));
+    });
+    record(&mut records, samples, "annotate/algorithm", "lca", || {
+        black_box(lca(catalog, index, &cfg, &weights, black_box(&lt.table)));
+    });
+    record(&mut records, samples, "annotate/algorithm", "majority", || {
+        black_box(majority(catalog, index, &cfg, &weights, black_box(&lt.table)));
+    });
+
+    // --- annotate/phase: mean per-table candidates / potentials /
+    //     inference µs from the annotator's own PhaseTimings, under the
+    //     config webtable-serve runs (`AnnotatorConfig::default()`, type_k
+    //     64, unlike the batch/* rows' type_k 16 profile): one worker, no
+    //     cross-table cache, 20 web tables no other group annotates. ---
+    let phase_tables: Vec<Table> =
+        tables(20, 12, NoiseConfig::web(), 61).into_iter().map(|lt| lt.table).collect();
+    let mut phases = PhaseTimings::default();
+    for _ in 0..samples {
+        let response = f.annotator.run(&AnnotateRequest::new(&phase_tables).without_cache());
+        response.timings.iter().for_each(|t| phases.add(t));
+    }
+    let per_table = (samples * phase_tables.len()) as f64;
+    for (bench, total_us) in [
+        ("candidates", phases.candidates_us),
+        ("potentials", phases.potentials_us),
+        ("inference", phases.inference_us),
+    ] {
+        let mean_us = total_us as f64 / per_table;
+        eprintln!("annotate/phase/{bench}: mean {mean_us:.2} µs per table");
+        records.push(Record {
+            group: "annotate/phase",
+            bench: bench.to_string(),
+            mean_us,
+            ops_per_sec: 1e6 / mean_us.max(1e-9),
+            samples,
+            iters_per_sample: phase_tables.len() as u64,
+        });
+    }
+
+    // --- bp/propagate_by_rows: message passing as the table grows
+    //     (§4.4.2; Fig. 7's <1%-of-runtime inference claim) ---
+    let opts = BpOptions::default();
+    for rows in [5usize, 20, 50] {
+        let lt = &tables(1, rows, NoiseConfig::wiki(), 3 + rows as u64)[0];
+        let cands = TableCandidates::build(catalog, index, &lt.table, &cfg);
+        let model = TableModel::build(catalog, &cfg, &weights, &lt.table, cands);
+        record(&mut records, samples, "bp/propagate_by_rows", &rows.to_string(), || {
+            black_box(propagate(black_box(model.graph()), &opts));
+        });
+    }
+
+    // --- bp/model_build_type_k: the type candidate budget, the dominant
+    //     factor-table dimension ---
+    let lt = &tables(1, 20, NoiseConfig::wiki(), 41)[0];
+    for type_k in [16usize, 64, 128] {
+        let cfg = AnnotatorConfig { type_k, ..Default::default() };
+        let cands = TableCandidates::build(catalog, index, &lt.table, &cfg);
+        record(&mut records, samples, "bp/model_build_type_k", &type_k.to_string(), || {
+            black_box(TableModel::build(
+                black_box(catalog),
+                &cfg,
+                &weights,
+                &lt.table,
+                cands.clone(),
+            ));
+        });
+    }
+
+    // --- bp/synthetic_grid: the Figure 10 topology at growing sizes, a
+    //     pure factor-graph workload independent of the annotator ---
+    for (rows, ents, types) in [(10usize, 8usize, 32usize), (30, 8, 64)] {
+        let mut graph = FactorGraph::new();
+        let t1 = graph.add_var(types);
+        let t2 = graph.add_var(types);
+        let b12 = graph.add_var(6);
+        for r in 0..rows {
+            let e1 = graph.add_var(ents);
+            let e2 = graph.add_var(ents);
+            graph.add_factor_with(&[t1, e1], |idx| ((idx[0] + idx[1]) % 7) as f64 * 0.1);
+            graph.add_factor_with(&[t2, e2], |idx| ((idx[0] * idx[1]) % 5) as f64 * 0.1);
+            graph.add_factor_with(&[b12, e1, e2], move |idx| {
+                if idx[0] == r % 6 && idx[1] == idx[2] {
+                    0.4
+                } else {
+                    0.0
+                }
+            });
+        }
+        graph.add_factor_with(&[b12, t1, t2], |idx| {
+            if idx[0] > 0 && idx[1] == idx[2] {
+                0.6
+            } else {
+                0.0
+            }
+        });
+        let bench = format!("{rows}x{ents}x{types}");
+        record(&mut records, samples, "bp/synthetic_grid", &bench, || {
+            black_box(propagate(black_box(&graph), &opts));
+        });
+    }
+
+    // --- similarity: the §4.2.1 kernels, run once per (cell, candidate
+    //     lemma) pair, on a typo'd title against its catalog spelling ---
+    let mut builder = SimEngineBuilder::new();
+    for s in [
+        "Albert Einstein",
+        "Relativity: The Special and the General Theory",
+        "Uncle Albert and the Quantum Quest",
+        "Russell Stannard",
+        "The Time and Space of Uncle Albert",
+    ] {
+        builder.add_document(s);
+    }
+    let engine = builder.freeze();
+    let a = engine.doc("Relativity: The Special and the General Theory");
+    let q = engine.doc("The Special and General Theory of Relativty");
+    record(&mut records, samples, "similarity", "tfidf_cosine", || {
+        black_box(webtable_text::cosine(black_box(&a.vec), black_box(&q.vec)));
+    });
+    record(&mut records, samples, "similarity", "jaccard_tokens", || {
+        black_box(sim::jaccard(black_box(&a.token_set), black_box(&q.token_set)));
+    });
+    record(&mut records, samples, "similarity", "jaro_winkler", || {
+        black_box(sim::jaro_winkler(black_box(&a.norm), black_box(&q.norm)));
+    });
+    record(&mut records, samples, "similarity", "levenshtein", || {
+        black_box(sim::levenshtein(black_box(&a.norm), black_box(&q.norm)));
+    });
+    record(&mut records, samples, "similarity", "full_profile", || {
+        black_box(engine.profile(black_box(&a), black_box(&q)));
+    });
+    let entity = EntityId(100);
+    let name = index.doc(catalog.entity_name(entity));
+    record(&mut records, samples, "similarity", "entity_profile_best_lemma", || {
+        black_box(index.entity_profile(black_box(&name), black_box(entity)));
+    });
+
+    // --- catalog: the §4.2.3 structural probes behind f3 and the
+    //     candidate spaces ---
+    let person = catalog.type_named("person").expect("person type");
+    let movie = catalog.type_named("movie").expect("movie type");
+    let e = EntityId(catalog.num_entities() as u32 / 2);
+    let direct = catalog.entity(e).direct_types[0];
+    record(&mut records, samples, "catalog", "dist", || {
+        black_box(catalog.dist(black_box(e), black_box(person)));
+    });
+    record(&mut records, samples, "catalog", "is_subtype", || {
+        black_box(catalog.is_subtype(black_box(direct), black_box(person)));
+    });
+    record(&mut records, samples, "catalog", "types_of", || {
+        black_box(catalog.types_of(black_box(e)).len());
+    });
+    record(&mut records, samples, "catalog", "extent_overlap_large", || {
+        black_box(catalog.extent_overlap(black_box(person), black_box(movie)));
+    });
+    // Warm the memo first: the steady state is what annotation sees.
+    catalog.missing_link_relatedness(e, person);
+    record(&mut records, samples, "catalog", "missing_link_relatedness_memoized", || {
+        black_box(catalog.missing_link_relatedness(black_box(e), black_box(person)));
+    });
+    record(&mut records, samples, "catalog", "specificity", || {
+        black_box(catalog.specificity(black_box(movie)));
+    });
+
+    // --- search/*: §5 engine construction and per-query latency of the
+    //     three processors (Fig. 9) over 50 annotated tables ---
+    let mut generator = TableGenerator::new(&f.world, NoiseConfig::web(), TruthMask::full(), 31);
+    let mut search_tables = Vec::new();
+    for b in f.world.relations.figure13() {
+        for _ in 0..10 {
+            search_tables.push(generator.gen_table_for_relation(b, 15).table);
+        }
+    }
+    let search = SearchEngine::from_tables(&f.annotator, search_tables, 4);
+    record(&mut records, build_samples, "search/index_build", "50_tables", || {
+        black_box(SearchIndex::build(black_box(search.corpus()), catalog));
+    });
+    let workload = build_workload(&f.world, &f.world.relations.figure13(), 5, 77);
+    let entity_queries: Vec<EntityQuery> =
+        workload.per_relation.iter().flat_map(|(_, qs)| qs.iter().copied()).collect();
+    for (bench, typed) in
+        [("baseline_fig3", None), ("type_only", Some(false)), ("type_rel_fig4", Some(true))]
+    {
+        let queries: Vec<Query> = entity_queries
+            .iter()
+            .map(|&query| match typed {
+                None => Query::Baseline(query),
+                Some(use_relations) => Query::Typed { query, use_relations },
+            })
+            .collect();
+        record(&mut records, samples, "search/query", bench, || {
+            for query in &queries {
+                black_box(search.search(black_box(query)));
+            }
+        });
+    }
+
+    // --- wire/*: JSON encode/decode of the HTTP body schemas
+    //     (`core::wire`, `search::wire`) that sit on every webtable-serve
+    //     request ---
+    let mut generator = TableGenerator::new(&f.world, NoiseConfig::web(), TruthMask::full(), 93);
+    let wire_tables: Vec<Table> = (0..10)
+        .map(|_| generator.gen_table_for_relation(f.world.relations.directed, 15).table)
+        .collect();
+    let response = f.annotator.run(&AnnotateRequest::new(&wire_tables).workers(2));
+    let wire_engine = SearchEngine::from_tables(&f.annotator, wire_tables.clone(), 2);
+    let request = WireAnnotateRequest::new(wire_tables);
+    let request_body = request.encode();
+    record(&mut records, samples, "wire/request", "encode_10_tables", || {
+        black_box(black_box(&request).encode());
+    });
+    record(&mut records, samples, "wire/request", "decode_10_tables", || {
+        black_box(WireAnnotateRequest::decode(black_box(&request_body)).expect("request decodes"));
+    });
+    let response_body = encode_response(&response);
+    record(&mut records, samples, "wire/response", "encode_10_tables", || {
+        black_box(encode_response(black_box(&response)));
+    });
+    record(&mut records, samples, "wire/response", "decode_10_tables", || {
+        black_box(decode_response(black_box(&response_body)).expect("response decodes"));
+    });
+    let (_, e2) = f.world.oracle.relation(f.world.relations.directed).tuples[0];
+    let query = Query::Typed {
+        query: EntityQuery {
+            relation: f.world.relations.directed,
+            t1: f.world.types.movie,
+            t2: f.world.types.director,
+            e2,
+        },
+        use_relations: true,
+    };
+    let query_body = encode_query(&query);
+    let answers = wire_engine.search(&query);
+    let answers_body = encode_answers(&answers);
+    record(&mut records, samples, "wire/query_answers", "encode_query", || {
+        black_box(encode_query(black_box(&query)));
+    });
+    record(&mut records, samples, "wire/query_answers", "decode_query", || {
+        black_box(decode_query(black_box(&query_body)).expect("query decodes"));
+    });
+    record(&mut records, samples, "wire/query_answers", "encode_answers", || {
+        black_box(encode_answers(black_box(&answers)));
+    });
+    record(&mut records, samples, "wire/query_answers", "decode_answers", || {
+        black_box(decode_answers(black_box(&answers_body)).expect("answers decode"));
+    });
+
+    // --- batch/threads: the batch/annotate corpus and profile across
+    //     worker counts with the default cache, the end-to-end batch
+    //     configuration ---
+    for threads in [1usize, 4] {
+        record(&mut records, build_samples, "batch/threads", &threads.to_string(), || {
+            black_box(batch.run(&AnnotateRequest::new(black_box(&corpus)).workers(threads)));
+        });
     }
 
     let mut json = String::new();

@@ -1,16 +1,17 @@
 //! # webtable-bench
 //!
-//! Shared fixtures for the Criterion micro-benchmarks. Each bench target
-//! measures one cost that the paper's evaluation rests on:
+//! Shared fixtures for the `perf_report` micro-benchmark harness and the
+//! closed-loop load driver. Each `perf_report` group measures one cost
+//! that the paper's evaluation rests on:
 //!
-//! | bench target | paper artifact it supports |
-//! |--------------|----------------------------|
+//! | group | paper artifact it supports |
+//! |-------|----------------------------|
 //! | `similarity` | §4.2.1 feature kernels (the 80%-of-runtime claim, Fig. 7) |
-//! | `candidates` | §4.3 candidate generation / lemma-index probes |
-//! | `bp`         | §4.4.2 message passing (the <1%-of-runtime claim, Fig. 7) |
-//! | `annotate`   | Fig. 7 end-to-end per-table cost, collective vs baselines |
-//! | `search`     | §5/Fig. 9 query latency: baseline vs typed processors |
-//! | `catalog`    | §4.2.3 catalog probes: `dist`, extents, relatedness |
+//! | `candidates/*` | §4.3 candidate generation / lemma-index probes |
+//! | `bp/*` | §4.4.2 message passing (the <1%-of-runtime claim, Fig. 7) |
+//! | `annotate/*` | Fig. 7 per-table cost: collective vs baselines, and per phase |
+//! | `search/*` | §5/Fig. 9 query latency: baseline vs typed processors |
+//! | `catalog` | §4.2.3 catalog probes: `dist`, extents, relatedness |
 
 pub mod load;
 
@@ -46,11 +47,11 @@ pub fn tables(n: usize, rows: usize, noise: NoiseConfig, seed: u64) -> Vec<Label
     g.gen_corpus(n, rows)
 }
 
-/// The duplicate-heavy corpus shared by the `batch/*` benchmarks and
-/// `perf_report`: a small base set of wide tables repeated several times,
-/// the common shape of real web-table crawls (the same entity strings recur
-/// across millions of tables). One definition so the criterion bench and
-/// the tracked `BENCH_candidates.json` always measure the same workload.
+/// The duplicate-heavy corpus of `perf_report`'s `batch/*` and
+/// `stream/annotate` groups: a small base set of wide tables repeated
+/// several times, the common shape of real web-table crawls (the same
+/// entity strings recur across millions of tables). One definition so
+/// every row of those groups measures the same workload.
 pub fn duplicate_heavy_corpus() -> Vec<webtable_tables::Table> {
     let base: Vec<webtable_tables::Table> =
         tables(4, 50, NoiseConfig::web(), 41).into_iter().map(|lt| lt.table).collect();
@@ -61,10 +62,11 @@ pub fn duplicate_heavy_corpus() -> Vec<webtable_tables::Table> {
     corpus
 }
 
-/// The corpus-scale batch profile shared by the `batch/*` benchmarks and
-/// `perf_report`: the fixture's catalog and index with a lean type budget,
-/// which keeps per-table model construction proportionate so the workload
-/// is candidate-bound — the regime the cross-table cache (and the paper's
+/// The corpus-scale batch profile of `perf_report`'s `batch/*` and
+/// `stream/annotate` groups: the fixture's catalog and index with a lean
+/// type budget (`type_k` 16, not the served default of 64), which keeps
+/// per-table model construction proportionate so the workload is
+/// candidate-bound — the regime the cross-table cache (and the paper's
 /// Fig. 7 80% claim) targets. Cached and uncached runs both use this
 /// profile, so the comparison is apples-to-apples.
 pub fn batch_annotator() -> Annotator {

@@ -162,12 +162,6 @@ pub struct AnnotateResponse {
 }
 
 impl AnnotateResponse {
-    /// Zips annotations and timings into the legacy
-    /// `Vec<(TableAnnotation, PhaseTimings)>` shape.
-    pub fn into_pairs(self) -> Vec<(TableAnnotation, PhaseTimings)> {
-        self.annotations.into_iter().zip(self.timings).collect()
-    }
-
     /// Consumes the response into its single annotation; panics unless the
     /// request held exactly one table.
     pub fn into_single(mut self) -> (TableAnnotation, PhaseTimings) {

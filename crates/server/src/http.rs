@@ -45,22 +45,13 @@ impl HttpError {
 
 /// Reads one request from the stream. Returns `Ok(None)` on a clean
 /// EOF before any bytes (peer connected and went away).
-pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, HttpError> {
+pub fn read_request<R: Read>(stream: R) -> Result<Option<Request>, HttpError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let n = reader
-        .read_line(&mut line)
-        .map_err(|e| HttpError::bad(format!("request line read: {e}")))?;
-    if n == 0 {
+    let mut header_bytes = 0usize;
+    let Some(line) = read_header_line(&mut reader, &mut header_bytes, "request line too long")?
+    else {
         return Ok(None);
-    }
-    if n > MAX_HEADER_BYTES {
-        return Err(HttpError {
-            status: 431,
-            code: "headers_too_large",
-            message: "request line too long".into(),
-        });
-    }
+    };
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let path = parts.next().unwrap_or_default().to_string();
@@ -74,23 +65,12 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, HttpError
     // leaves the parser desynced, silently reading header bytes as the
     // body. Over-limit requests must be rejected, never misparsed.
     let mut content_length: Option<usize> = None;
-    let mut header_bytes = n;
     let mut headers_seen = 0usize;
-    loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| HttpError::bad(format!("header read: {e}")))?;
-        header_bytes += n;
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError {
-                status: 431,
-                code: "headers_too_large",
-                message: "header section too large".into(),
-            });
-        }
+    while let Some(header) =
+        read_header_line(&mut reader, &mut header_bytes, "header section too large")?
+    {
         let header = header.trim_end();
-        if n == 0 || header.is_empty() {
+        if header.is_empty() {
             break;
         }
         headers_seen += 1;
@@ -129,6 +109,36 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, HttpError
     reader.read_exact(&mut body).map_err(|e| HttpError::bad(format!("body read: {e}")))?;
     let body = String::from_utf8(body).map_err(|_| HttpError::bad("body is not UTF-8"))?;
     Ok(Some(Request { method, path, body }))
+}
+
+/// Reads one line of the header section (the request line or a header
+/// field) and adds its length to `used`, the bytes the section has taken
+/// so far. It consumes at most `MAX_HEADER_BYTES - used + 1` bytes: enough
+/// to see that the section overruns its cap, so a line that never ends is
+/// answered with 431 instead of being buffered whole. `None` means EOF.
+fn read_header_line<R: BufRead>(
+    reader: R,
+    used: &mut usize,
+    too_large: &str,
+) -> Result<Option<String>, HttpError> {
+    let mut line = Vec::new();
+    let budget = (MAX_HEADER_BYTES - *used) as u64 + 1;
+    let n = reader
+        .take(budget)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| HttpError::bad(format!("header read: {e}")))?;
+    *used += n;
+    if *used > MAX_HEADER_BYTES {
+        return Err(HttpError {
+            status: 431,
+            code: "headers_too_large",
+            message: too_large.into(),
+        });
+    }
+    if n == 0 {
+        return Ok(None);
+    }
+    String::from_utf8(line).map(Some).map_err(|_| HttpError::bad("header section is not UTF-8"))
 }
 
 /// An outgoing response.
@@ -181,30 +191,14 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) {
 
 #[cfg(test)]
 mod tests {
-    use std::net::{TcpListener, TcpStream};
+    use proptest::prelude::*;
 
     use super::*;
 
-    fn roundtrip(raw: &[u8]) -> Result<Option<Request>, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let out = read_request(&mut conn);
-        writer.join().unwrap();
-        out
-    }
-
     #[test]
     fn parses_post_with_body() {
-        let req =
-            roundtrip(b"POST /v1/annotate HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\n{\"a\"")
-                .unwrap()
-                .unwrap();
+        let raw = b"POST /v1/annotate HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\n{\"a\"";
+        let req = read_request(raw.as_slice()).unwrap().unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/annotate");
         assert_eq!(req.body, "{\"a\"");
@@ -212,7 +206,7 @@ mod tests {
 
     #[test]
     fn parses_get_without_body() {
-        let req = roundtrip(b"GET /health HTTP/1.1\r\n\r\n").unwrap().unwrap();
+        let req = read_request(b"GET /health HTTP/1.1\r\n\r\n".as_slice()).unwrap().unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/health");
         assert!(req.body.is_empty());
@@ -221,7 +215,7 @@ mod tests {
     #[test]
     fn rejects_oversized_body_declaration() {
         let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
-        let err = roundtrip(raw.as_bytes()).unwrap_err();
+        let err = read_request(raw.as_bytes()).unwrap_err();
         assert_eq!(err.status, 413);
         assert_eq!(err.code, "body_too_large");
     }
@@ -237,7 +231,7 @@ mod tests {
             raw.push_str(&format!("X-{i}: v\r\n"));
         }
         raw.push_str("\r\n");
-        let err = roundtrip(raw.as_bytes()).unwrap_err();
+        let err = read_request(raw.as_bytes()).unwrap_err();
         assert_eq!(err.status, 431);
         assert_eq!(err.code, "headers_too_large");
     }
@@ -249,14 +243,14 @@ mod tests {
             raw.push_str(&format!("X-{i}: v\r\n"));
         }
         raw.push_str("Content-Length: 2\r\n\r\nok");
-        let req = roundtrip(raw.as_bytes()).unwrap().unwrap();
+        let req = read_request(raw.as_bytes()).unwrap().unwrap();
         assert_eq!(req.body, "ok");
     }
 
     #[test]
     fn rejects_conflicting_content_lengths() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 2\r\n\r\nabcd";
-        let err = roundtrip(raw).unwrap_err();
+        let err = read_request(raw.as_slice()).unwrap_err();
         assert_eq!(err.status, 400);
         assert_eq!(err.code, "bad_request");
         assert!(err.message.contains("conflicting content-length"));
@@ -265,18 +259,96 @@ mod tests {
     #[test]
     fn repeated_equal_content_lengths_parse() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
-        let req = roundtrip(raw).unwrap().unwrap();
+        let req = read_request(raw.as_slice()).unwrap().unwrap();
         assert_eq!(req.body, "abcd");
     }
 
     #[test]
     fn rejects_malformed_request_line() {
-        let err = roundtrip(b"NONSENSE\r\n\r\n").unwrap_err();
+        let err = read_request(b"NONSENSE\r\n\r\n".as_slice()).unwrap_err();
         assert_eq!(err.status, 400);
     }
 
     #[test]
     fn empty_connection_is_none() {
-        assert!(roundtrip(b"").unwrap().is_none());
+        assert!(read_request(b"".as_slice()).unwrap().is_none());
+    }
+
+    /// A peer that sends `prefix` and then `x` bytes with no newline,
+    /// counting every byte the parser pulls. It ends after 1 MiB so a
+    /// parser that reads to the newline returns instead of hanging.
+    struct EndlessLine {
+        prefix: &'static [u8],
+        read: usize,
+    }
+
+    impl Read for EndlessLine {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min((1 << 20) - self.read);
+            for (i, b) in buf[..n].iter_mut().enumerate() {
+                *b = self.prefix.get(self.read + i).copied().unwrap_or(b'x');
+            }
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn over_long_lines_get_431_after_a_bounded_read() {
+        // Past the cap plus the one byte that shows the overrun, the
+        // parser may only have pulled its BufReader's 8 KiB buffer.
+        let bound = MAX_HEADER_BYTES + 1 + 8 * 1024;
+        for prefix in [b"".as_slice(), b"GET /health HTTP/1.1\r\nX-Long: "] {
+            let mut peer = EndlessLine { prefix, read: 0 };
+            let err = read_request(&mut peer).unwrap_err();
+            assert_eq!((err.status, err.code), (431, "headers_too_large"));
+            assert!(peer.read <= bound, "read {} bytes, bound {bound}", peer.read);
+        }
+    }
+
+    const VALID: &[u8] =
+        b"POST /v1/annotate HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\n{\"a\"";
+
+    /// Every input must parse or be refused with a client-error status.
+    fn parses_or_refuses(bytes: &[u8]) -> Result<(), TestCaseError> {
+        if let Err(e) = read_request(bytes) {
+            prop_assert!(
+                matches!(e.status, 400 | 413 | 431),
+                "status {} ({}) for {:?}",
+                e.status,
+                e.message,
+                String::from_utf8_lossy(bytes)
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_parse_or_are_refused(
+            bytes in proptest::collection::vec(any::<u8>(), 0..1024),
+        ) {
+            parses_or_refuses(&bytes)?;
+        }
+
+        #[test]
+        fn mutated_requests_parse_or_are_refused(
+            inserts in proptest::collection::vec((any::<usize>(), any::<bool>()), 0..4),
+            flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+            keep in any::<usize>(),
+        ) {
+            let mut bytes = VALID.to_vec();
+            for (at, cr) in inserts {
+                bytes.insert(at % (bytes.len() + 1), if cr { b'\r' } else { b'\n' });
+            }
+            for (at, mask) in flips {
+                let i = at % bytes.len();
+                bytes[i] ^= mask;
+            }
+            bytes.truncate(keep % (bytes.len() + 1));
+            parses_or_refuses(&bytes)?;
+        }
     }
 }

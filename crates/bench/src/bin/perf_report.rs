@@ -367,9 +367,10 @@ fn main() {
 
     // --- candidates/rescoring_factor: cosine-rescoring budget sweep, the
     //     recall/latency dial on the IDF-overlap shortlist (same table and
-    //     scratch path as candidates/entity_k) ---
+    //     scratch path as candidates/entity_k; the default factor 6 is
+    //     candidates/entity_k/8) ---
     let lt = &tables(1, 20, NoiseConfig::web(), 99)[0];
-    for factor in [1usize, 3, 6, 12] {
+    for factor in [1usize, 3, 12] {
         let cfg = AnnotatorConfig { rescoring_factor: factor, ..Default::default() };
         record(&mut records, samples, "candidates/rescoring_factor", &factor.to_string(), || {
             black_box(TableCandidates::build_with_scratch(
@@ -639,12 +640,10 @@ fn main() {
 
     // --- batch/threads: the batch/annotate corpus and profile across
     //     worker counts with the default cache, the end-to-end batch
-    //     configuration ---
-    for threads in [1usize, 4] {
-        record(&mut records, build_samples, "batch/threads", &threads.to_string(), || {
-            black_box(batch.run(&AnnotateRequest::new(black_box(&corpus)).workers(threads)));
-        });
-    }
+    //     configuration (one worker is stream/annotate/batch_w1) ---
+    record(&mut records, build_samples, "batch/threads", "4", || {
+        black_box(batch.run(&AnnotateRequest::new(black_box(&corpus)).workers(4)));
+    });
 
     let mut json = String::new();
     json.push_str("{\n  \"schema\": \"webtable-perf-report/v1\",\n");

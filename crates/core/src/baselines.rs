@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 use webtable_catalog::{Catalog, EntityId, RelationId, TypeId};
 use webtable_tables::Table;
-use webtable_text::CandidateIndex;
+use webtable_text::SegmentedIndex;
 
 use crate::candidates::TableCandidates;
 use crate::config::AnnotatorConfig;
@@ -33,9 +33,9 @@ pub struct BaselineAnnotation {
 /// Figure 2 rule with the best type fixed.
 ///
 /// Equivalent to [`majority`] with a 100% vote threshold.
-pub fn lca<I: CandidateIndex + ?Sized>(
+pub fn lca(
     catalog: &Catalog,
-    index: &I,
+    index: &SegmentedIndex,
     cfg: &AnnotatorConfig,
     weights: &Weights,
     table: &Table,
@@ -45,9 +45,9 @@ pub fn lca<I: CandidateIndex + ?Sized>(
 
 /// The Majority baseline (§4.5.2): types supported by more than 50% of
 /// cells; entities chosen independently per cell by `φ1` alone.
-pub fn majority<I: CandidateIndex + ?Sized>(
+pub fn majority(
     catalog: &Catalog,
-    index: &I,
+    index: &SegmentedIndex,
     cfg: &AnnotatorConfig,
     weights: &Weights,
     table: &Table,
@@ -58,9 +58,9 @@ pub fn majority<I: CandidateIndex + ?Sized>(
 /// Threshold-voting baseline family: `F = 1.0` recovers LCA, `F = 0.5`
 /// Majority; the paper also sweeps intermediate thresholds ("best type
 /// accuracy of 46% with a 60% threshold", §6.1.1).
-pub fn majority_with_threshold<I: CandidateIndex + ?Sized>(
+pub fn majority_with_threshold(
     catalog: &Catalog,
-    index: &I,
+    index: &SegmentedIndex,
     cfg: &AnnotatorConfig,
     weights: &Weights,
     table: &Table,
@@ -202,13 +202,12 @@ pub fn majority_with_threshold<I: CandidateIndex + ?Sized>(
 mod tests {
     use webtable_catalog::{generate_world, CatalogBuilder, WorldConfig};
     use webtable_tables::{NoiseConfig, TableGenerator, TableId, TruthMask};
-    use webtable_text::LemmaIndex;
 
     use super::*;
 
-    fn setup() -> (webtable_catalog::World, LemmaIndex) {
+    fn setup() -> (webtable_catalog::World, SegmentedIndex) {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();
-        let index = LemmaIndex::build(&w.catalog);
+        let index = SegmentedIndex::build_split(&w.catalog, 1, 0);
         (w, index)
     }
 
@@ -259,7 +258,7 @@ mod tests {
         b.add_entity(name.clone(), &[], &[novel]).unwrap();
         names.push(name);
         let cat = b.finish().unwrap();
-        let index = LemmaIndex::build(&cat);
+        let index = SegmentedIndex::build_split(&cat, 1, 0);
         let cfg = AnnotatorConfig::default();
         let weights = Weights::default();
         let rows: Vec<Vec<String>> = names.iter().map(|n| vec![n.clone()]).collect();

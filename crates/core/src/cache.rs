@@ -21,7 +21,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use webtable_text::CandidateIndex;
+use webtable_text::SegmentedIndex;
 
 use crate::candidates::CellCandidates;
 use crate::config::AnnotatorConfig;
@@ -237,14 +237,14 @@ impl CellCandidateCache {
 
 /// Fingerprint of everything a cached cell-candidate set depends on: the
 /// config knobs that shape candidate generation plus the index's build-time
-/// content digest ([`CandidateIndex::content_digest`] — every lemma's kind,
+/// content digest ([`SegmentedIndex::content_digest`] — every lemma's kind,
 /// owner, and text, the CSR layouts, and the upper-bound tables), so a
 /// catalog edit that changes what a probe can return (reworded lemmas,
 /// added entities, shifted IDFs) changes the fingerprint even when lemma
 /// and vocabulary counts happen to coincide. Two annotators with equal
 /// fingerprints produce identical candidate sets for identical normalized
 /// cell text; a cache is bypassed when fingerprints differ.
-pub fn fingerprint_for<I: CandidateIndex + ?Sized>(cfg: &AnnotatorConfig, index: &I) -> u64 {
+pub fn fingerprint_for(cfg: &AnnotatorConfig, index: &SegmentedIndex) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     cfg.entity_k.hash(&mut h);
     cfg.rescoring_factor.hash(&mut h);

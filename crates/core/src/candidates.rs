@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use webtable_catalog::{Catalog, EntityId, RelationId, TypeId};
 use webtable_tables::Table;
-use webtable_text::{CandidateIndex, ProbeScratch, StringSim, TextDoc};
+use webtable_text::{ProbeScratch, SegmentedIndex, StringSim, TextDoc};
 
 use crate::cache::CellCandidateCache;
 use crate::config::AnnotatorConfig;
@@ -98,9 +98,9 @@ impl TableCandidates {
     /// Builds candidate sets for a table (one-shot convenience; batch
     /// callers should reuse a scratch via
     /// [`build_with_scratch`](TableCandidates::build_with_scratch)).
-    pub fn build<I: CandidateIndex + ?Sized>(
+    pub fn build(
         catalog: &Catalog,
-        index: &I,
+        index: &SegmentedIndex,
         table: &Table,
         cfg: &AnnotatorConfig,
     ) -> TableCandidates {
@@ -114,9 +114,9 @@ impl TableCandidates {
     }
 
     /// Builds candidate sets for a table, reusing worker scratch buffers.
-    pub fn build_with_scratch<I: CandidateIndex + ?Sized>(
+    pub fn build_with_scratch(
         catalog: &Catalog,
-        index: &I,
+        index: &SegmentedIndex,
         table: &Table,
         cfg: &AnnotatorConfig,
         scratch: &mut CandidateScratch,
@@ -127,13 +127,13 @@ impl TableCandidates {
     /// [`build_with_scratch`](TableCandidates::build_with_scratch) with an
     /// optional cross-table candidate cache. Lookup order per cell: the
     /// per-table memo (no lock), then the shared cache (keyed by the cell's
-    /// *normalized* text — the exact normalization [`CandidateIndex::doc`]
+    /// *normalized* text — the exact normalization [`SegmentedIndex::doc`]
     /// applies, so the key determines the result), then a fresh probe whose
     /// result feeds both layers. Output is identical with or without a
     /// cache; only the work performed changes.
-    pub fn build_cached<I: CandidateIndex + ?Sized>(
+    pub fn build_cached(
         catalog: &Catalog,
-        index: &I,
+        index: &SegmentedIndex,
         table: &Table,
         cfg: &AnnotatorConfig,
         scratch: &mut CandidateScratch,
@@ -234,8 +234,8 @@ impl TableCandidates {
     }
 }
 
-fn cell_candidates<I: CandidateIndex + ?Sized>(
-    index: &I,
+fn cell_candidates(
+    index: &SegmentedIndex,
     text: &str,
     cfg: &AnnotatorConfig,
     probe: &mut ProbeScratch,
@@ -244,13 +244,7 @@ fn cell_candidates<I: CandidateIndex + ?Sized>(
     if doc.token_set.is_empty() {
         return CellCandidates { entities: Vec::new(), profiles: Vec::new() };
     }
-    let matches = index.entity_candidates_mode(
-        &doc,
-        cfg.entity_k,
-        cfg.rescoring_factor,
-        cfg.probe_mode,
-        probe,
-    );
+    let matches = index.entity_candidates_with(&doc, cfg.entity_k, cfg.rescoring_factor, probe);
     let mut entities = Vec::with_capacity(matches.len());
     let mut profiles = Vec::with_capacity(matches.len());
     for m in matches {
@@ -264,9 +258,9 @@ fn cell_candidates<I: CandidateIndex + ?Sized>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn column_candidates<I: CandidateIndex + ?Sized>(
+fn column_candidates(
     catalog: &Catalog,
-    index: &I,
+    index: &SegmentedIndex,
     cells: &[Vec<CellCandidates>],
     c: usize,
     header_doc: Option<&TextDoc>,
@@ -291,13 +285,7 @@ fn column_candidates<I: CandidateIndex + ?Sized>(
     // Header text can also propose types directly (e.g. header "Film" when
     // no cell disambiguates).
     if let Some(h) = header_doc {
-        for m in index.type_candidates_mode(
-            h,
-            8,
-            cfg.rescoring_factor,
-            cfg.probe_mode,
-            &mut scratch.probe,
-        ) {
+        for m in index.type_candidates_with(h, 8, cfg.rescoring_factor, &mut scratch.probe) {
             coverage.entry(m.id).or_insert(0);
         }
     }
@@ -371,7 +359,6 @@ mod tests {
     use proptest::prelude::*;
     use webtable_catalog::{generate_world, WorldConfig};
     use webtable_tables::{NoiseConfig, TableGenerator, TruthMask};
-    use webtable_text::LemmaIndex;
 
     use super::*;
 
@@ -383,7 +370,7 @@ mod tests {
 
         pub fn build(
             catalog: &Catalog,
-            index: &LemmaIndex,
+            index: &SegmentedIndex,
             table: &Table,
             cfg: &AnnotatorConfig,
         ) -> TableCandidates {
@@ -421,7 +408,7 @@ mod tests {
         }
 
         fn cell_candidates(
-            index: &LemmaIndex,
+            index: &SegmentedIndex,
             text: &str,
             cfg: &AnnotatorConfig,
         ) -> CellCandidates {
@@ -449,7 +436,7 @@ mod tests {
 
         fn column_candidates(
             catalog: &Catalog,
-            index: &LemmaIndex,
+            index: &SegmentedIndex,
             cells: &[Vec<CellCandidates>],
             c: usize,
             header_doc: Option<&TextDoc>,
@@ -567,12 +554,12 @@ mod tests {
         }
     }
 
-    fn equivalence_world() -> &'static (webtable_catalog::World, LemmaIndex) {
-        static WORLD: std::sync::OnceLock<(webtable_catalog::World, LemmaIndex)> =
+    fn equivalence_world() -> &'static (webtable_catalog::World, SegmentedIndex) {
+        static WORLD: std::sync::OnceLock<(webtable_catalog::World, SegmentedIndex)> =
             std::sync::OnceLock::new();
         WORLD.get_or_init(|| {
             let w = generate_world(&WorldConfig::tiny(5)).unwrap();
-            let idx = LemmaIndex::build(&w.catalog);
+            let idx = SegmentedIndex::build_split(&w.catalog, 1, 0);
             (w, idx)
         })
     }
@@ -637,7 +624,7 @@ mod tests {
     #[test]
     fn candidates_cover_ground_truth_on_clean_tables() {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();
-        let index = LemmaIndex::build(&w.catalog);
+        let index = SegmentedIndex::build_split(&w.catalog, 1, 0);
         let mut g = TableGenerator::new(&w, NoiseConfig::clean(), TruthMask::full(), 3);
         let cfg = AnnotatorConfig::default();
         let lt = g.gen_table(8);
@@ -662,7 +649,7 @@ mod tests {
     #[test]
     fn type_space_is_union_of_candidate_ancestors() {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();
-        let index = LemmaIndex::build(&w.catalog);
+        let index = SegmentedIndex::build_split(&w.catalog, 1, 0);
         let mut g = TableGenerator::new(&w, NoiseConfig::clean(), TruthMask::full(), 4);
         let cfg = AnnotatorConfig::default();
         let lt = g.gen_table_for_relation(w.relations.directed, 10);
@@ -683,7 +670,7 @@ mod tests {
     #[test]
     fn pair_candidates_find_the_generating_relation() {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();
-        let index = LemmaIndex::build(&w.catalog);
+        let index = SegmentedIndex::build_split(&w.catalog, 1, 0);
         let mut g = TableGenerator::new(&w, NoiseConfig::clean(), TruthMask::full(), 5);
         let cfg = AnnotatorConfig::default();
         let lt = g.gen_table_for_relation(w.relations.plays_for, 8);
@@ -696,7 +683,7 @@ mod tests {
     #[test]
     fn empty_cells_get_no_candidates() {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();
-        let index = LemmaIndex::build(&w.catalog);
+        let index = SegmentedIndex::build_split(&w.catalog, 1, 0);
         let cfg = AnnotatorConfig::default();
         let table = webtable_tables::Table::new(
             webtable_tables::TableId(0),
@@ -714,7 +701,7 @@ mod tests {
     #[test]
     fn candidate_counts_respect_k() {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();
-        let index = LemmaIndex::build(&w.catalog);
+        let index = SegmentedIndex::build_split(&w.catalog, 1, 0);
         let cfg = AnnotatorConfig { entity_k: 3, type_k: 5, ..Default::default() };
         let mut g = TableGenerator::new(&w, NoiseConfig::web(), TruthMask::full(), 6);
         let lt = g.gen_table(10);

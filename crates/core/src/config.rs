@@ -61,11 +61,6 @@ pub struct AnnotatorConfig {
     /// across a corpus probe the index once). `0` disables the cache.
     /// Caching never changes output — only which probes are skipped.
     pub batch_cache_capacity: usize,
-    /// How index probes execute their IDF-overlap pass (`Auto` picks WAND
-    /// or exhaustive per query). All modes return bit-identical candidates
-    /// — this knob trades work skipped, never output. Overridable per
-    /// request via `AnnotateRequest::probe_mode`.
-    pub probe_mode: webtable_text::ProbeMode,
 }
 
 impl Default for AnnotatorConfig {
@@ -81,7 +76,6 @@ impl Default for AnnotatorConfig {
             min_candidate_score: 0.25,
             rescoring_factor: webtable_text::DEFAULT_RESCORING_FACTOR,
             batch_cache_capacity: 1 << 16,
-            probe_mode: webtable_text::ProbeMode::Auto,
         }
     }
 }

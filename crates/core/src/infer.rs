@@ -3,7 +3,7 @@
 
 use webtable_catalog::Catalog;
 use webtable_tables::Table;
-use webtable_text::CandidateIndex;
+use webtable_text::SegmentedIndex;
 
 use crate::candidates::TableCandidates;
 use crate::config::AnnotatorConfig;
@@ -14,9 +14,9 @@ use crate::weights::{dot, Weights};
 
 /// Full collective inference: builds the joint model over `t_c`, `e_rc`,
 /// `b_cc'` and runs max-product BP with the Figure 11 schedule.
-pub fn annotate_collective<I: CandidateIndex + ?Sized>(
+pub fn annotate_collective(
     catalog: &Catalog,
-    index: &I,
+    index: &SegmentedIndex,
     cfg: &AnnotatorConfig,
     weights: &Weights,
     table: &Table,
@@ -37,9 +37,9 @@ pub fn annotate_collective<I: CandidateIndex + ?Sized>(
 /// ```
 ///
 /// `na` participates as a label with potential 1 (log 0) at both levels.
-pub fn annotate_simple<I: CandidateIndex + ?Sized>(
+pub fn annotate_simple(
     catalog: &Catalog,
-    index: &I,
+    index: &SegmentedIndex,
     cfg: &AnnotatorConfig,
     weights: &Weights,
     table: &Table,
@@ -106,13 +106,12 @@ pub fn annotate_simple<I: CandidateIndex + ?Sized>(
 mod tests {
     use webtable_catalog::{generate_world, WorldConfig};
     use webtable_tables::{NoiseConfig, TableGenerator, TruthMask};
-    use webtable_text::LemmaIndex;
 
     use super::*;
 
-    fn setup() -> (webtable_catalog::World, LemmaIndex) {
+    fn setup() -> (webtable_catalog::World, SegmentedIndex) {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();
-        let index = LemmaIndex::build(&w.catalog);
+        let index = SegmentedIndex::build_split(&w.catalog, 1, 0);
         (w, index)
     }
 

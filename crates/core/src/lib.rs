@@ -63,6 +63,6 @@ pub use result::{AnnotateStats, PhaseTimings, TableAnnotation};
 pub use session::{AnnotateRequest, AnnotateResponse};
 pub use stream::{AnnotateStream, StreamOptions};
 pub use unique::enforce_unique_columns;
-pub use webtable_text::{ExtendError, ProbeMode, SnapshotError};
+pub use webtable_text::{ExtendError, SnapshotError};
 pub use weights::Weights;
 pub use wire::{Json, WireAnnotateRequest, WireError};

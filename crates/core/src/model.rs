@@ -446,14 +446,14 @@ fn belief_margin(beliefs: &[f64], chosen: usize) -> f64 {
 mod tests {
     use webtable_catalog::{generate_world, WorldConfig};
     use webtable_tables::{NoiseConfig, TableGenerator, TruthMask};
-    use webtable_text::LemmaIndex;
+    use webtable_text::SegmentedIndex;
 
     use super::*;
     use crate::candidates::TableCandidates;
 
-    fn setup() -> (webtable_catalog::World, LemmaIndex, AnnotatorConfig, Weights) {
+    fn setup() -> (webtable_catalog::World, SegmentedIndex, AnnotatorConfig, Weights) {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();
-        let index = LemmaIndex::build(&w.catalog);
+        let index = SegmentedIndex::build_split(&w.catalog, 1, 0);
         (w, index, AnnotatorConfig::default(), Weights::default())
     }
 

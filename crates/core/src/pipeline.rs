@@ -200,17 +200,16 @@ impl Annotator {
 
     /// The full single-table path: candidates → potentials → inference,
     /// with optional cross-table caching and unique-column enforcement.
-    /// `cfg` is the annotator's config, possibly with a per-request probe
-    /// override. Output is a pure function of (catalog, index, weights,
-    /// cfg, table) — scratch and cache only skip work.
+    /// Output is a pure function of (catalog, index, weights, config,
+    /// table) — scratch and cache only skip work.
     pub(crate) fn annotate_one(
         &self,
-        cfg: &AnnotatorConfig,
         table: &Table,
         scratch: &mut CandidateScratch,
         cache: Option<&CellCandidateCache>,
         unique_columns: Option<&[usize]>,
     ) -> (TableAnnotation, PhaseTimings) {
+        let cfg = &self.config;
         let t0 = Instant::now();
         let cands = TableCandidates::build_cached(
             &self.catalog,
@@ -256,7 +255,6 @@ impl Annotator {
     /// reports how many tables were fully annotated before the cut.
     pub(crate) fn execute(
         &self,
-        cfg: &AnnotatorConfig,
         tables: &[Table],
         workers: usize,
         cache: Option<&CellCandidateCache>,
@@ -276,7 +274,7 @@ impl Annotator {
                 if expired(out.len()) {
                     return Err(out.len());
                 }
-                out.push(self.annotate_one(cfg, t, &mut scratch, cache, unique_columns));
+                out.push(self.annotate_one(t, &mut scratch, cache, unique_columns));
             }
             return Ok(out);
         }
@@ -303,7 +301,7 @@ impl Annotator {
                             break;
                         }
                         let out =
-                            self.annotate_one(cfg, &tables[i], &mut scratch, cache, unique_columns);
+                            self.annotate_one(&tables[i], &mut scratch, cache, unique_columns);
                         *slots[i].lock().expect("slot lock poisoned") = Some(out);
                     }
                 });

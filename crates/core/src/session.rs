@@ -5,7 +5,7 @@
 //!
 //! * [`AnnotateRequest`] — a builder describing *what* to annotate (a table
 //!   slice) and *how* (worker count, cache plan, unique-column enforcement,
-//!   probe mode);
+//!   deadline);
 //! * [`Annotator::run`] — the one execution entry point, returning an
 //!   [`AnnotateResponse`] carrying annotations, per-table phase timings,
 //!   and aggregate [`AnnotateStats`].
@@ -29,10 +29,8 @@
 use std::time::{Duration, Instant};
 
 use webtable_tables::Table;
-use webtable_text::ProbeMode;
 
 use crate::cache::CellCandidateCache;
-use crate::config::AnnotatorConfig;
 use crate::error::Error;
 use crate::pipeline::Annotator;
 use crate::result::{AnnotateStats, PhaseTimings, TableAnnotation};
@@ -63,14 +61,13 @@ pub struct AnnotateRequest<'a> {
     workers: usize,
     cache: CachePlan<'a>,
     unique_columns: Option<&'a [usize]>,
-    probe_mode: Option<ProbeMode>,
     deadline: Option<Instant>,
 }
 
 impl<'a> AnnotateRequest<'a> {
     /// A request over a table slice with the defaults: one worker, a fresh
-    /// run-private candidate cache, no uniqueness enforcement, the
-    /// config's probe mode.
+    /// run-private candidate cache, no uniqueness enforcement, no
+    /// deadline.
     pub fn new(tables: &'a [Table]) -> AnnotateRequest<'a> {
         AnnotateRequest { tables, workers: 1, ..AnnotateRequest::default() }
     }
@@ -108,14 +105,6 @@ impl<'a> AnnotateRequest<'a> {
     /// (§4.4.1 of the paper).
     pub fn unique_columns(mut self, columns: &'a [usize]) -> AnnotateRequest<'a> {
         self.unique_columns = Some(columns);
-        self
-    }
-
-    /// Overrides the index probe mode for this run. All modes return
-    /// bit-identical annotations; the knob only trades which probe work is
-    /// skipped (WAND vs exhaustive, see [`ProbeMode`]).
-    pub fn probe_mode(mut self, mode: ProbeMode) -> AnnotateRequest<'a> {
-        self.probe_mode = Some(mode);
         self
     }
 
@@ -179,7 +168,7 @@ impl Annotator {
     /// Executes an annotation request — the single front-door entry
     /// point. Annotations are a
     /// pure function of (catalog, index, weights, config, tables):
-    /// worker count, caching, and probe mode never change output, only
+    /// worker count and caching never change output, only
     /// wall-clock and the work skipped.
     ///
     /// # Panics
@@ -202,15 +191,6 @@ impl Annotator {
     /// join — the same stop-feeding teardown the streaming path's `Drop`
     /// uses — so no annotation work outlives the error).
     pub fn try_run(&self, request: &AnnotateRequest<'_>) -> Result<AnnotateResponse, Error> {
-        // Per-request probe override without touching the shared config.
-        let cfg_override;
-        let cfg: &AnnotatorConfig = match request.probe_mode {
-            Some(mode) if mode != self.config.probe_mode => {
-                cfg_override = AnnotatorConfig { probe_mode: mode, ..self.config.clone() };
-                &cfg_override
-            }
-            _ => &self.config,
-        };
         let fresh;
         let cache: Option<&CellCandidateCache> = match request.cache {
             CachePlan::Disabled => None,
@@ -228,7 +208,6 @@ impl Annotator {
 
         let results = self
             .execute(
-                cfg,
                 request.tables,
                 request.workers,
                 cache,
@@ -311,18 +290,6 @@ mod tests {
                 + second.stats.cache_hits
                 + second.stats.cache_misses
         );
-    }
-
-    #[test]
-    fn probe_mode_override_is_bit_identical() {
-        use webtable_text::ProbeMode;
-        let (w, tables) = world_tables(31, 3);
-        let a = Annotator::new(Arc::clone(&w.catalog));
-        let auto = a.run(&AnnotateRequest::new(&tables));
-        for mode in [ProbeMode::Exhaustive, ProbeMode::Wand] {
-            let got = a.run(&AnnotateRequest::new(&tables).probe_mode(mode));
-            assert_eq!(auto.annotations, got.annotations, "{mode:?}");
-        }
     }
 
     #[test]

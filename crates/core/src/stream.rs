@@ -283,7 +283,7 @@ impl Annotator {
                     // wedging the pipeline on an unreleased permit.
                     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let cache = cache.is_enabled().then_some(&*cache);
-                        annotator.annotate_one(&annotator.config, &table, &mut scratch, cache, None)
+                        annotator.annotate_one(&table, &mut scratch, cache, None)
                     }));
                     let died = out.is_err();
                     if result_tx.send((i, out)).is_err() || died {

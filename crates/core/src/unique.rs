@@ -64,7 +64,7 @@ pub fn enforce_unique_columns(
 mod tests {
     use webtable_catalog::CatalogBuilder;
     use webtable_tables::{Table, TableId};
-    use webtable_text::LemmaIndex;
+    use webtable_text::SegmentedIndex;
 
     use super::*;
     use crate::infer::annotate_collective;
@@ -79,7 +79,7 @@ mod tests {
         let e2 = b.add_entity("Leeds United", &["United", "Leeds"], &[club]).unwrap();
         b.add_entity("Hull City", &["Hull"], &[club]).unwrap();
         let cat = b.finish().unwrap();
-        let index = LemmaIndex::build(&cat);
+        let index = SegmentedIndex::build_split(&cat, 1, 0);
         let cfg = AnnotatorConfig::default();
         let weights = Weights::default();
 
@@ -117,7 +117,7 @@ mod tests {
         let t = b.add_type("t", &[]).unwrap();
         b.add_entity("x", &[], &[t]).unwrap();
         let cat = b.finish().unwrap();
-        let index = LemmaIndex::build(&cat);
+        let index = SegmentedIndex::build_split(&cat, 1, 0);
         let cfg = AnnotatorConfig::default();
         let weights = Weights::default();
         let table = Table::new(TableId(0), "", vec![Some("A".into())], vec![vec!["x".into()]]);

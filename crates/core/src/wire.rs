@@ -12,8 +12,7 @@
 //! // AnnotateRequest
 //! {"tables": [{"id": 1, "context": "…", "headers": ["Title", null],
 //!              "rows": [["…", "…"]]}],
-//!  "workers": 2, "unique_columns": [0], "probe_mode": "auto",
-//!  "timeout_ms": 500}
+//!  "workers": 2, "unique_columns": [0], "timeout_ms": 500}
 //!
 //! // AnnotateResponse
 //! {"annotations": [{"cells": [{"row": 0, "col": 0, "entity": 5,
@@ -28,6 +27,8 @@
 //!                        "inference_us": 4, "total_us": 330}}}
 //! ```
 //!
+//! Decoders ignore keys they do not know, so a body that still carries a
+//! retired field is answered as if it did not.
 //! `null` ids encode the paper's explicit `na` decision. Map-shaped
 //! annotation fields are emitted in sorted key order, so equal values
 //! produce byte-equal encodings — the server's round-trip tests compare
@@ -43,7 +44,6 @@
 
 use webtable_catalog::{EntityId, RelationId, TypeId};
 use webtable_tables::{Table, TableId};
-use webtable_text::ProbeMode;
 
 use crate::result::{AnnotateStats, PhaseTimings, TableAnnotation};
 use crate::session::{AnnotateRequest, AnnotateResponse};
@@ -616,8 +616,6 @@ pub struct WireAnnotateRequest {
     pub workers: usize,
     /// Columns under a uniqueness constraint, if any.
     pub unique_columns: Option<Vec<usize>>,
-    /// Per-request probe-mode override.
-    pub probe_mode: Option<ProbeMode>,
     /// Wall-clock budget in milliseconds.
     pub timeout_ms: Option<u64>,
 }
@@ -625,13 +623,7 @@ pub struct WireAnnotateRequest {
 impl WireAnnotateRequest {
     /// A request over owned tables with the front door's defaults.
     pub fn new(tables: Vec<Table>) -> WireAnnotateRequest {
-        WireAnnotateRequest {
-            tables,
-            workers: 1,
-            unique_columns: None,
-            probe_mode: None,
-            timeout_ms: None,
-        }
+        WireAnnotateRequest { tables, workers: 1, unique_columns: None, timeout_ms: None }
     }
 
     /// Borrows this into the in-process [`AnnotateRequest`]. The deadline
@@ -641,9 +633,6 @@ impl WireAnnotateRequest {
         let mut req = AnnotateRequest::new(&self.tables).workers(self.workers.max(1));
         if let Some(cols) = &self.unique_columns {
             req = req.unique_columns(cols);
-        }
-        if let Some(mode) = self.probe_mode {
-            req = req.probe_mode(mode);
         }
         req
     }
@@ -660,9 +649,6 @@ impl WireAnnotateRequest {
                 "unique_columns".into(),
                 Json::Arr(cols.iter().map(|&c| Json::usize(c)).collect()),
             ));
-        }
-        if let Some(mode) = self.probe_mode {
-            pairs.push(("probe_mode".into(), Json::str(probe_mode_name(mode))));
         }
         if let Some(ms) = self.timeout_ms {
             pairs.push(("timeout_ms".into(), Json::u64(ms)));
@@ -697,12 +683,6 @@ impl WireAnnotateRequest {
                 Some(cols)
             }
         };
-        let probe_mode = match j.get("probe_mode") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(parse_probe_mode(
-                v.as_str().ok_or_else(|| schema_err("`probe_mode` must be a string"))?,
-            )?),
-        };
         let timeout_ms = match j.get("timeout_ms") {
             None | Some(Json::Null) => None,
             Some(v) => Some(
@@ -710,7 +690,7 @@ impl WireAnnotateRequest {
                     .ok_or_else(|| schema_err("`timeout_ms` must be a non-negative integer"))?,
             ),
         };
-        Ok(WireAnnotateRequest { tables, workers, unique_columns, probe_mode, timeout_ms })
+        Ok(WireAnnotateRequest { tables, workers, unique_columns, timeout_ms })
     }
 
     /// Parses from JSON text.
@@ -721,27 +701,6 @@ impl WireAnnotateRequest {
     /// Serializes to JSON text.
     pub fn encode(&self) -> String {
         self.to_json().encode()
-    }
-}
-
-/// The stable wire name of a probe mode.
-pub fn probe_mode_name(mode: ProbeMode) -> &'static str {
-    match mode {
-        ProbeMode::Auto => "auto",
-        ProbeMode::Exhaustive => "exhaustive",
-        ProbeMode::Wand => "wand",
-    }
-}
-
-/// Parses a wire probe-mode name.
-pub fn parse_probe_mode(name: &str) -> Result<ProbeMode, WireError> {
-    match name {
-        "auto" => Ok(ProbeMode::Auto),
-        "exhaustive" => Ok(ProbeMode::Exhaustive),
-        "wand" => Ok(ProbeMode::Wand),
-        other => {
-            Err(schema_err(format!("unknown probe_mode `{other}` (expected auto|exhaustive|wand)")))
-        }
     }
 }
 
@@ -994,7 +953,6 @@ mod tests {
             tables: vec![t],
             workers: 4,
             unique_columns: Some(vec![0]),
-            probe_mode: Some(ProbeMode::Wand),
             timeout_ms: Some(250),
         };
         let back = WireAnnotateRequest::decode(&req.encode()).unwrap();
@@ -1002,7 +960,7 @@ mod tests {
         // Defaults materialize when fields are absent.
         let bare = WireAnnotateRequest::decode(r#"{"tables": []}"#).unwrap();
         assert_eq!(bare.workers, 1);
-        assert!(bare.unique_columns.is_none() && bare.probe_mode.is_none());
+        assert!(bare.unique_columns.is_none() && bare.timeout_ms.is_none());
     }
 
     #[test]
@@ -1042,13 +1000,5 @@ mod tests {
         assert_eq!(r.timings, back.timings);
         assert_eq!(r.stats, back.stats);
         assert_eq!(text, encode_response(&back), "re-encoding must be byte-identical");
-    }
-
-    #[test]
-    fn probe_modes_have_stable_names() {
-        for mode in [ProbeMode::Auto, ProbeMode::Exhaustive, ProbeMode::Wand] {
-            assert_eq!(parse_probe_mode(probe_mode_name(mode)).unwrap(), mode);
-        }
-        assert!(parse_probe_mode("WAND").is_err());
     }
 }

@@ -128,7 +128,7 @@ fn fingerprint_detects_content_changes_with_equal_shapes() {
         let t = b.add_type("thing", &[]).unwrap();
         b.add_entity("aa bb", &[], &[t]).unwrap();
         b.add_entity(format!("cc {second_word}"), &[], &[t]).unwrap();
-        webtable_text::LemmaIndex::build(&b.finish().unwrap())
+        webtable_text::SegmentedIndex::build_split(&b.finish().unwrap(), 1, 0)
     };
     let (ia, ib) = (build("dd"), build("ee"));
     assert_eq!(ia.num_lemmas(), ib.num_lemmas());

@@ -1,7 +1,9 @@
 //! Property tests pinning the wire format: every front-door type
 //! round-trips `encode → parse → decode` exactly, and equal values
 //! produce byte-equal encodings (the server's bit-identity proof rests
-//! on this).
+//! on this). The request decoders are total: arbitrary and mutated
+//! bodies end in `Ok` or a [`WireError`], never a panic, and nesting is
+//! bounded so a hostile body cannot overflow the stack.
 
 use proptest::prelude::*;
 use webtable_catalog::{EntityId, RelationId, TypeId};
@@ -10,8 +12,8 @@ use webtable_core::wire::{
     table_to_json,
 };
 use webtable_core::{
-    AnnotateResponse, AnnotateStats, Json, PhaseTimings, ProbeMode, TableAnnotation,
-    WireAnnotateRequest,
+    AnnotateResponse, AnnotateStats, Json, PhaseTimings, TableAnnotation, WireAnnotateRequest,
+    WireError,
 };
 use webtable_tables::{Table, TableId};
 
@@ -104,15 +106,12 @@ proptest! {
         tables in proptest::collection::vec(arb_table(), 0..4),
         workers in 0usize..9,
         unique in any::<bool>(),
-        mode in 0usize..4,
         timeout in any::<u32>(),
     ) {
         let req = WireAnnotateRequest {
             tables,
             workers,
             unique_columns: if unique { Some(vec![0, 2]) } else { None },
-            probe_mode: [None, Some(ProbeMode::Auto), Some(ProbeMode::Exhaustive),
-                         Some(ProbeMode::Wand)][mode],
             timeout_ms: if timeout % 2 == 0 { Some(timeout as u64) } else { None },
         };
         let text = req.encode();
@@ -180,5 +179,63 @@ proptest! {
         let text = Json::Str(s.clone()).encode();
         let back = Json::parse(&text).expect("parse");
         prop_assert_eq!(back.as_str(), Some(s.as_str()));
+    }
+}
+
+/// A valid annotate body, the seed of every mutation below.
+const VALID: &[u8] = br#"{"tables":[{"id":7,"context":"films","headers":["Title",null],
+    "rows":[["Heat","1995"],["Ran","1985"]]}],"workers":2,"unique_columns":[0],"timeout_ms":500}"#;
+
+/// Both request decoders end in `Ok` or a [`WireError`]; a panic fails
+/// the calling test.
+fn decode_both(bytes: &[u8]) -> [Option<WireError>; 2] {
+    // `read_request` hands the router only UTF-8 bodies.
+    let text = String::from_utf8_lossy(bytes);
+    [Json::parse(&text).err(), WireAnnotateRequest::decode(&text).err()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_decode_or_fail_typed(
+        bytes in proptest::collection::vec(any::<u8>(), 0..1024),
+    ) {
+        decode_both(&bytes);
+    }
+
+    #[test]
+    fn mutated_bodies_decode_or_fail_typed(
+        inserts in proptest::collection::vec((any::<usize>(), 0usize..4), 0..4),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        keep in any::<usize>(),
+    ) {
+        prop_assert_eq!(decode_both(VALID), [None, None]);
+        let mut bytes = VALID.to_vec();
+        for (at, which) in inserts {
+            bytes.insert(at % (bytes.len() + 1), b"[{\":"[which]);
+        }
+        for (at, mask) in flips {
+            let i = at % bytes.len();
+            bytes[i] ^= mask;
+        }
+        bytes.truncate(keep % (bytes.len() + 1));
+        decode_both(&bytes);
+    }
+}
+
+#[test]
+fn nesting_is_bounded_at_max_depth() {
+    // Depth counts from 0 at the outermost value, and 96 is the deepest
+    // the parser accepts: 97 nested arrays parse, 98 do not.
+    let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    assert!(Json::parse(&nested(97)).is_ok());
+    assert_eq!(Json::parse(&nested(98)).unwrap_err().msg, "nesting too deep");
+    // One MiB of openers fails at that depth instead of overflowing the
+    // stack, through both decoders.
+    for body in ["[".repeat(1 << 20), "{\"a\":".repeat((1 << 20) / 5)] {
+        for err in decode_both(body.as_bytes()) {
+            assert_eq!(err.unwrap().msg, "nesting too deep");
+        }
     }
 }

@@ -9,7 +9,7 @@
 use webtable_catalog::{Catalog, CatalogBuilder};
 use webtable_core::{annotate_collective, lca, majority, AnnotatorConfig, Weights};
 use webtable_tables::{Table, TableId};
-use webtable_text::LemmaIndex;
+use webtable_text::SegmentedIndex;
 
 /// The demo outcome: which type each method picked for the column.
 #[derive(Debug, Clone)]
@@ -62,7 +62,7 @@ fn nancy_catalog() -> (Catalog, Table) {
 /// Runs the anecdote and reports each method's column type.
 pub fn run_anecdote() -> (AnecdoteResult, String) {
     let (cat, table) = nancy_catalog();
-    let index = LemmaIndex::build(&cat);
+    let index = SegmentedIndex::build_split(&cat, 1, 0);
     let cfg = AnnotatorConfig::default();
     let weights = Weights::default();
     let name = |t: webtable_catalog::TypeId| cat.type_name(t).to_string();

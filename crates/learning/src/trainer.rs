@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use webtable_catalog::Catalog;
 use webtable_core::{AnnotatorConfig, TableCandidates, TableModel, Weights};
 use webtable_tables::LabeledTable;
-use webtable_text::CandidateIndex;
+use webtable_text::SegmentedIndex;
 
 /// Hyper-parameters for [`train`].
 #[derive(Debug, Clone)]
@@ -62,9 +62,9 @@ impl TrainStats {
 }
 
 /// Trains weights on labeled tables. Deterministic per config.
-pub fn train<I: CandidateIndex + ?Sized>(
+pub fn train(
     catalog: &Catalog,
-    index: &I,
+    index: &SegmentedIndex,
     cfg: &AnnotatorConfig,
     tables: &[LabeledTable],
     tc: &TrainConfig,
@@ -141,11 +141,9 @@ mod tests {
 
     use super::*;
 
-    use webtable_text::LemmaIndex;
-
-    fn setup() -> (webtable_catalog::World, LemmaIndex) {
+    fn setup() -> (webtable_catalog::World, SegmentedIndex) {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();
-        let index = LemmaIndex::build(&w.catalog);
+        let index = SegmentedIndex::build_split(&w.catalog, 1, 0);
         (w, index)
     }
 

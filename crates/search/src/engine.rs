@@ -16,7 +16,7 @@ use webtable_catalog::Catalog;
 use webtable_core::{AnnotateRequest, Annotator};
 use webtable_tables::Table;
 
-use webtable_catalog::{EntityId, RelationId};
+use webtable_catalog::{EntityId, RelationId, TypeId};
 
 use crate::augment::{populate_columns, populate_rows, related_search};
 use crate::corpus::AnnotatedCorpus;
@@ -147,8 +147,12 @@ impl SearchEngine {
     /// deterministic (score descending, key ascending on ties).
     ///
     /// `Query::Join` answers are projected onto the outer entity `e1`
-    /// keeping the best-scoring join chain per answer.
+    /// keeping the best-scoring join chain per answer. A query naming an
+    /// entity, type or relation id past the catalog has no answers.
     pub fn search(&self, query: &Query) -> Vec<RankedAnswer> {
+        if !self.ids_in_catalog(query) {
+            return Vec::new();
+        }
         match *query {
             Query::Baseline(ref q) => {
                 baseline_search_impl(&self.catalog, &self.index, &self.corpus, q)
@@ -179,6 +183,27 @@ impl SearchEngine {
             Query::Related { entity, relation, k } => {
                 related_search(&self.index, &self.corpus, entity, relation, k)
             }
+        }
+    }
+
+    /// Whether every entity, type and relation id the query names exists
+    /// in the catalog. An id past it names nothing, so the query has no
+    /// answers; the processors index the catalog by these ids directly.
+    fn ids_in_catalog(&self, query: &Query) -> bool {
+        let cat = &self.catalog;
+        let entity = |e: EntityId| e.index() < cat.num_entities();
+        let ty = |t: TypeId| t.index() < cat.num_types();
+        let relation = |r: RelationId| r.index() < cat.num_relations();
+        match query {
+            Query::Baseline(q) | Query::Typed { query: q, .. } => {
+                relation(q.relation) && ty(q.t1) && ty(q.t2) && entity(q.e2)
+            }
+            Query::Join { query: q, .. } => relation(q.r1) && relation(q.r2) && entity(q.e3),
+            Query::Tables { .. } => true,
+            Query::PopulateRows { seeds, .. } | Query::PopulateColumns { seeds, .. } => {
+                seeds.iter().all(|&e| entity(e))
+            }
+            Query::Related { entity: e, relation: r, .. } => entity(*e) && relation(*r),
         }
     }
 

@@ -305,7 +305,57 @@ pub fn decode_answers(text: &str) -> Result<Vec<RankedAnswer>, WireError> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// One valid body per query kind, as in the module docs.
+    const KIND_BODIES: [&str; 7] = [
+        r#"{"kind":"baseline","relation":1,"t1":2,"t2":3,"e2":4}"#,
+        r#"{"kind":"typed","relation":1,"t1":2,"t2":3,"e2":4,"use_relations":true}"#,
+        r#"{"kind":"join","r1":1,"r2":2,"e3":9,"mid_k":5}"#,
+        r#"{"kind":"tables","q":"films directed by","k":10}"#,
+        r#"{"kind":"populate_rows","seeds":[4,9],"k":10}"#,
+        r#"{"kind":"populate_columns","seeds":[4,9],"k":10}"#,
+        r#"{"kind":"related","entity":4,"relation":1,"k":10}"#,
+    ];
+
+    /// `decode_query` ends in `Ok` or a [`WireError`]; a panic fails the
+    /// calling test. `read_request` hands the router only UTF-8 bodies.
+    fn decode_lossy(bytes: &[u8]) -> Result<Query, WireError> {
+        decode_query(&String::from_utf8_lossy(bytes))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_decode_or_fail_typed(
+            bytes in proptest::collection::vec(any::<u8>(), 0..1024),
+        ) {
+            let _ = decode_lossy(&bytes);
+        }
+
+        #[test]
+        fn mutated_queries_decode_or_fail_typed(
+            kind in 0usize..7,
+            inserts in proptest::collection::vec((any::<usize>(), 0usize..4), 0..4),
+            flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+            keep in any::<usize>(),
+        ) {
+            let mut bytes = KIND_BODIES[kind].as_bytes().to_vec();
+            prop_assert!(decode_lossy(&bytes).is_ok());
+            for (at, which) in inserts {
+                bytes.insert(at % (bytes.len() + 1), b"[{\":"[which]);
+            }
+            for (at, mask) in flips {
+                let i = at % bytes.len();
+                bytes[i] ^= mask;
+            }
+            bytes.truncate(keep % (bytes.len() + 1));
+            let _ = decode_lossy(&bytes);
+        }
+    }
 
     #[test]
     fn queries_roundtrip_through_the_wire() {

@@ -1,11 +1,16 @@
 //! Search-index equivalence: the precomputed `columns_of_type` postings
 //! must equal the old on-the-fly subtype scan over the corpus annotations.
+//! And every id-bearing query kind answers ids past the catalog with no
+//! answers, never a panic.
 
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
-use webtable_catalog::{Catalog, TypeId, World};
+use proptest::prelude::*;
+use webtable_catalog::{Catalog, EntityId, RelationId, TypeId, World};
 use webtable_core::Annotator;
-use webtable_search::{ColRef, SearchEngine};
+use webtable_search::wire::{decode_query, encode_query};
+use webtable_search::{ColRef, EntityQuery, JoinQuery, Query, SearchEngine};
 use webtable_tables::{NoiseConfig, TableGenerator, TruthMask};
 
 fn fixture() -> &'static (World, SearchEngine) {
@@ -67,4 +72,45 @@ fn precomputed_type_postings_match_subtype_scan() {
         nonempty += usize::from(!want.is_empty());
     }
     assert!(nonempty > 0, "the corpus must annotate some columns");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn ids_past_the_catalog_answer_nothing(
+        kind in 0usize..6,
+        raw in proptest::collection::vec(any::<u32>(), 7),
+        wide in proptest::collection::vec(any::<bool>(), 7),
+        use_relations in any::<bool>(),
+        k in 1usize..20,
+    ) {
+        let (w, engine) = fixture();
+        let cat = &w.catalog;
+        let past = Cell::new(false);
+        // Id `i` comes from the whole `u32` range or from below `n`.
+        let id = |i: usize, n: usize| {
+            let id = if wide[i] { raw[i] } else { raw[i] % n as u32 };
+            past.set(past.get() || id as usize >= n);
+            id
+        };
+        let e = |i| EntityId(id(i, cat.num_entities()));
+        let t = |i| TypeId(id(i, cat.num_types()));
+        let r = |i| RelationId(id(i, cat.num_relations()));
+        let query = match kind {
+            0 => Query::Baseline(EntityQuery { relation: r(0), t1: t(1), t2: t(2), e2: e(3) }),
+            1 => {
+                let query = EntityQuery { relation: r(0), t1: t(1), t2: t(2), e2: e(3) };
+                Query::Typed { query, use_relations }
+            }
+            2 => Query::Join { query: JoinQuery { r1: r(0), r2: r(1), e3: e(3) }, mid_k: k },
+            3 => Query::PopulateRows { seeds: (4..7).map(e).collect(), k },
+            4 => Query::PopulateColumns { seeds: (4..7).map(e).collect(), k },
+            _ => Query::Related { entity: e(3), relation: r(0), k },
+        };
+        let back = decode_query(&encode_query(&query)).expect("wire round trip");
+        prop_assert_eq!(&back, &query);
+        let answers = engine.search(&back);
+        prop_assert!(!past.get() || answers.is_empty(), "{query:?} answered {answers:?}");
+    }
 }

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use webtable_core::wire::Json;
-use webtable_core::{PhaseTimings, ProbeMode};
+use webtable_core::PhaseTimings;
 
 /// Request endpoints tracked separately. `Other` covers 404s and admin
 /// endpoints not worth their own row.
@@ -113,12 +113,6 @@ pub struct Metrics {
     pub swaps_completed: AtomicU64,
     /// The generation currently being served (gauge).
     pub swap_generation: AtomicU64,
-    /// Annotate requests by probe mode: auto / exhaustive / wand.
-    pub probe_auto: AtomicU64,
-    /// Explicit exhaustive-probe requests.
-    pub probe_exhaustive: AtomicU64,
-    /// Explicit WAND-probe requests.
-    pub probe_wand: AtomicU64,
     /// Accumulated per-phase annotate timings (microseconds).
     pub phase_candidates_us: AtomicU64,
     /// Potential-computation phase total.
@@ -160,17 +154,11 @@ impl Metrics {
     }
 
     /// Folds one annotate response's phase timings into the process
-    /// totals and counts its probe mode.
-    pub fn record_annotate(&self, timings: &PhaseTimings, mode: ProbeMode) {
+    /// totals.
+    pub fn record_annotate(&self, timings: &PhaseTimings) {
         self.phase_candidates_us.fetch_add(timings.candidates_us, Ordering::Relaxed);
         self.phase_potentials_us.fetch_add(timings.potentials_us, Ordering::Relaxed);
         self.phase_inference_us.fetch_add(timings.inference_us, Ordering::Relaxed);
-        let counter = match mode {
-            ProbeMode::Auto => &self.probe_auto,
-            ProbeMode::Exhaustive => &self.probe_exhaustive,
-            ProbeMode::Wand => &self.probe_wand,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total requests across all endpoints.
@@ -224,14 +212,6 @@ impl Metrics {
             ("deadlines_exceeded".into(), Json::u64(ld(&self.deadlines_exceeded))),
             ("endpoints".into(), Json::Arr(endpoints)),
             ("panics".into(), Json::u64(ld(&self.panics))),
-            (
-                "probe_modes".into(),
-                Json::Obj(vec![
-                    ("auto".into(), Json::u64(ld(&self.probe_auto))),
-                    ("exhaustive".into(), Json::u64(ld(&self.probe_exhaustive))),
-                    ("wand".into(), Json::u64(ld(&self.probe_wand))),
-                ]),
-            ),
             (
                 "query_kinds".into(),
                 Json::Obj(
@@ -323,10 +303,9 @@ mod tests {
     fn annotate_recording_accumulates_phases() {
         let m = Metrics::default();
         let t = PhaseTimings { candidates_us: 7, potentials_us: 5, inference_us: 3, total_us: 15 };
-        m.record_annotate(&t, ProbeMode::Auto);
-        m.record_annotate(&t, ProbeMode::Wand);
+        m.record_annotate(&t);
+        m.record_annotate(&t);
         assert_eq!(m.phase_candidates_us.load(Ordering::Relaxed), 14);
-        assert_eq!(m.probe_auto.load(Ordering::Relaxed), 1);
-        assert_eq!(m.probe_wand.load(Ordering::Relaxed), 1);
+        assert_eq!(m.phase_inference_us.load(Ordering::Relaxed), 6);
     }
 }

@@ -21,7 +21,6 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use webtable_core::wire::{encode_response, Json, WireAnnotateRequest};
-use webtable_core::ProbeMode;
 use webtable_search::wire::{decode_query, encode_answers};
 
 use crate::error::{error_body, ServeError};
@@ -123,10 +122,7 @@ fn annotate(state: &AppState, body: &str, ingress: Instant) -> Response {
         .deadline(ingress + budget);
     match generation.annotator.try_run(&request) {
         Ok(response) => {
-            state.metrics.record_annotate(
-                &response.stats.timings,
-                wire_req.probe_mode.unwrap_or(ProbeMode::Auto),
-            );
+            state.metrics.record_annotate(&response.stats.timings);
             Response::ok(encode_response(&response))
         }
         Err(e) => {

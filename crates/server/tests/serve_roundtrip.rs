@@ -40,22 +40,27 @@ fn http_annotate_matches_in_process_run_bit_for_bit() {
     let tables = tables_from_wire(&corpus).unwrap();
     let wire_req = WireAnnotateRequest::new(tables);
 
-    let (status, body) = srv.request("POST", "/v1/annotate", &wire_req.encode());
-    assert_eq!(status, 200, "{body}");
-    let over_http = decode_response(&body).expect("wire response");
-
     // The same request through the in-process front door (the server
     // holds the same snapshot-restored annotator).
     let generation = load_generation(&srv.dir, 2).unwrap();
     let in_process = generation.annotator.run(&wire_req.as_request());
 
-    assert_eq!(over_http.annotations.len(), in_process.annotations.len());
-    for (http, local) in over_http.annotations.iter().zip(&in_process.annotations) {
-        // Canonical sorted-key encoding makes this a bit-for-bit
-        // comparison of every cell/column/relation label.
-        assert_eq!(annotation_to_json(http).encode(), annotation_to_json(local).encode());
+    // The plain body, and the same tables under a retired key (the probe
+    // mode override), which the decoder ignores like any unknown key.
+    let plain = wire_req.encode();
+    let retired_key = format!("{},\"probe_mode\":\"wand\"}}", &plain[..plain.len() - 1]);
+    for body in [&plain, &retired_key] {
+        let (status, resp) = srv.request("POST", "/v1/annotate", body);
+        assert_eq!(status, 200, "{resp}");
+        let over_http = decode_response(&resp).expect("wire response");
+        assert_eq!(over_http.annotations.len(), in_process.annotations.len());
+        for (http, local) in over_http.annotations.iter().zip(&in_process.annotations) {
+            // Canonical sorted-key encoding makes this a bit-for-bit
+            // comparison of every cell/column/relation label.
+            assert_eq!(annotation_to_json(http).encode(), annotation_to_json(local).encode());
+        }
+        assert_eq!(over_http.stats.tables, in_process.stats.tables);
     }
-    assert_eq!(over_http.stats.tables, in_process.stats.tables);
 }
 
 #[test]
@@ -145,6 +150,24 @@ fn malformed_retrieval_requests_answer_400() {
     for kind in ["tables", "populate_rows", "populate_columns", "related"] {
         assert_eq!(kinds.get(kind).and_then(Json::as_u64), Some(0), "{kind} counted a 400");
     }
+}
+
+/// Ids past the catalog answer no answers, like every other unknown id,
+/// rather than panicking the handler into a 500.
+#[test]
+fn search_ids_past_the_catalog_answer_no_answers() {
+    let srv = TestServer::start("roundtrip-past-catalog");
+    for body in [
+        r#"{"kind":"baseline","relation":4000000000,"t1":0,"t2":0,"e2":0}"#,
+        r#"{"kind":"join","r1":4000000000,"r2":0,"e3":0}"#,
+    ] {
+        let (status, resp) = srv.request("POST", "/v1/search", body);
+        assert_eq!((status, resp.as_str()), (200, r#"{"answers":[]}"#), "{body}");
+    }
+    let (s, body) = srv.request("GET", "/admin/stats", "");
+    assert_eq!(s, 200);
+    let stats = Json::parse(&body).unwrap();
+    assert_eq!(stats.get("panics").and_then(Json::as_u64), Some(0));
 }
 
 #[test]

@@ -17,9 +17,8 @@
 //! contiguous slice per query token with no per-posting kind check. Query
 //! accumulation uses an epoch-stamped dense scratch ([`ProbeScratch`])
 //! instead of a hash map, and the overlap shortlist is selected with
-//! `select_nth_unstable_by` rather than a full sort. Callers on a hot path
-//! should hold one `ProbeScratch` per worker and use the `*_with` variants;
-//! the plain query methods fall back to a thread-local scratch.
+//! `select_nth_unstable_by` rather than a full sort. Every probe takes a
+//! caller-owned `ProbeScratch`; hot paths hold one per worker.
 //!
 //! ## Parallel construction
 //!
@@ -57,7 +56,6 @@
 //! qualifying lemma, which keeps the early-terminated result bit-identical
 //! to the exhaustive pass ([`ProbeMode::Exhaustive`], the PR 2 reference).
 
-use std::cell::RefCell;
 use std::ops::Range;
 
 use webtable_catalog::{Catalog, EntityId, TypeId};
@@ -97,7 +95,9 @@ pub struct Match<Id> {
 }
 
 /// How the IDF-overlap pass of a probe is executed. All modes produce
-/// bit-identical results; they differ only in work skipped.
+/// bit-identical results; they differ only in work skipped. Candidate
+/// generation always runs `Auto`; the forced modes are the reference the
+/// equivalence suites compare WAND against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeMode {
     /// Pick per query: WAND when the posting volume dwarfs the shortlist,
@@ -364,11 +364,6 @@ impl ProbeScratch {
             self.touched.push(li);
         }
     }
-}
-
-thread_local! {
-    /// Fallback scratch for the convenience query methods.
-    pub(crate) static SHARED_SCRATCH: RefCell<ProbeScratch> = RefCell::new(ProbeScratch::new());
 }
 
 /// `true` if hit `a` ranks strictly worse than `b` in the shortlist order
@@ -915,29 +910,9 @@ impl LemmaIndex {
 
     /// Top-`k` candidate entities for a mention text (§4.3's `E_rc`),
     /// deduplicated by entity, scored by best lemma cosine, ties broken by
-    /// id for determinism. Uses a thread-local scratch and the default
-    /// rescoring factor; hot paths should prefer [`entity_candidates_with`].
-    ///
-    /// [`entity_candidates_with`]: LemmaIndex::entity_candidates_with
-    pub fn entity_candidates(&self, query: &TextDoc, k: usize) -> Vec<Match<EntityId>> {
-        SHARED_SCRATCH.with(|s| {
-            self.entity_candidates_with(query, k, DEFAULT_RESCORING_FACTOR, &mut s.borrow_mut())
-        })
-    }
-
-    /// Top-`k` candidate types for a header text, deduplicated by type.
-    /// Thread-local scratch variant of [`type_candidates_with`].
-    ///
-    /// [`type_candidates_with`]: LemmaIndex::type_candidates_with
-    pub fn type_candidates(&self, query: &TextDoc, k: usize) -> Vec<Match<TypeId>> {
-        SHARED_SCRATCH.with(|s| {
-            self.type_candidates_with(query, k, DEFAULT_RESCORING_FACTOR, &mut s.borrow_mut())
-        })
-    }
-
-    /// [`entity_candidates`](LemmaIndex::entity_candidates) with an explicit
-    /// rescoring factor and caller-owned scratch (allocation-free in steady
-    /// state).
+    /// id for determinism, under [`ProbeMode::Auto`]. The scratch is
+    /// caller-owned (allocation-free in steady state); the shortlist
+    /// rescored by cosine is `k × rescoring_factor` lemmas.
     pub fn entity_candidates_with(
         &self,
         query: &TextDoc,
@@ -948,8 +923,8 @@ impl LemmaIndex {
         self.entity_candidates_mode(query, k, rescoring_factor, ProbeMode::Auto, scratch)
     }
 
-    /// [`type_candidates`](LemmaIndex::type_candidates) with an explicit
-    /// rescoring factor and caller-owned scratch.
+    /// Top-`k` candidate types for a header text, deduplicated by type.
+    /// See [`entity_candidates_with`](LemmaIndex::entity_candidates_with).
     pub fn type_candidates_with(
         &self,
         query: &TextDoc,
@@ -989,7 +964,7 @@ impl LemmaIndex {
     }
 
     /// Leaves the top-`k` `(owner, score)` pairs in `scratch.owners`.
-    fn owner_candidates(
+    pub(crate) fn owner_candidates(
         &self,
         query: &TextDoc,
         kind: RefKind,
@@ -1226,12 +1201,20 @@ mod tests {
         b.finish().unwrap()
     }
 
+    fn entities(idx: &LemmaIndex, q: &TextDoc, k: usize) -> Vec<Match<EntityId>> {
+        idx.entity_candidates_with(q, k, DEFAULT_RESCORING_FACTOR, &mut ProbeScratch::new())
+    }
+
+    fn types(idx: &LemmaIndex, q: &TextDoc, k: usize) -> Vec<Match<TypeId>> {
+        idx.type_candidates_with(q, k, DEFAULT_RESCORING_FACTOR, &mut ProbeScratch::new())
+    }
+
     #[test]
     fn exact_mention_ranks_first() {
         let cat = small_catalog();
         let idx = LemmaIndex::build(&cat);
         let q = idx.doc("Albert Einstein");
-        let cands = idx.entity_candidates(&q, 5);
+        let cands = entities(&idx, &q, 5);
         assert!(!cands.is_empty());
         assert_eq!(cands[0].id, cat.entity_named("Albert Einstein").unwrap());
         assert!(cands[0].score > 0.9);
@@ -1242,7 +1225,7 @@ mod tests {
         let cat = small_catalog();
         let idx = LemmaIndex::build(&cat);
         let q = idx.doc("Albert");
-        let cands = idx.entity_candidates(&q, 5);
+        let cands = entities(&idx, &q, 5);
         // Einstein, Brooks, and the Uncle Albert book all mention "albert".
         assert!(cands.len() >= 3, "got {cands:?}");
     }
@@ -1252,7 +1235,7 @@ mod tests {
         let cat = small_catalog();
         let idx = LemmaIndex::build(&cat);
         let q = idx.doc("A. Einstein");
-        let cands = idx.entity_candidates(&q, 3);
+        let cands = entities(&idx, &q, 3);
         assert_eq!(cands[0].id, cat.entity_named("Albert Einstein").unwrap());
     }
 
@@ -1261,10 +1244,10 @@ mod tests {
         let cat = small_catalog();
         let idx = LemmaIndex::build(&cat);
         let q = idx.doc("Title");
-        let cands = idx.type_candidates(&q, 3);
+        let cands = types(&idx, &q, 3);
         assert_eq!(cands[0].id, cat.type_named("book").unwrap());
         let q = idx.doc("people");
-        let cands = idx.type_candidates(&q, 3);
+        let cands = types(&idx, &q, 3);
         assert_eq!(cands[0].id, cat.type_named("person").unwrap());
     }
 
@@ -1273,8 +1256,8 @@ mod tests {
         let cat = small_catalog();
         let idx = LemmaIndex::build(&cat);
         let q = idx.doc("zzz qqq www");
-        assert!(idx.entity_candidates(&q, 5).is_empty());
-        assert!(idx.type_candidates(&q, 5).is_empty());
+        assert!(entities(&idx, &q, 5).is_empty());
+        assert!(types(&idx, &q, 5).is_empty());
     }
 
     #[test]
@@ -1282,8 +1265,8 @@ mod tests {
         let cat = small_catalog();
         let idx = LemmaIndex::build(&cat);
         let q = idx.doc("the albert theory of relativity");
-        let k2 = idx.entity_candidates(&q, 2);
-        let k5 = idx.entity_candidates(&q, 5);
+        let k2 = entities(&idx, &q, 2);
+        let k5 = entities(&idx, &q, 5);
         assert!(k2.len() <= 2);
         assert_eq!(&k5[..k2.len()], &k2[..], "prefix stability");
     }
@@ -1308,24 +1291,6 @@ mod tests {
         // 5 entities with 3+2+2+1+2 = 10 lemmas; types: person(2), physicist(1),
         // book(2) = 5. (The root type contributes its own lemma when synthesized.)
         assert!(idx.num_lemmas() >= 15, "{}", idx.num_lemmas());
-    }
-
-    #[test]
-    fn explicit_scratch_matches_thread_local_path() {
-        let cat = small_catalog();
-        let idx = LemmaIndex::build(&cat);
-        let mut scratch = ProbeScratch::new();
-        for text in ["Albert Einstein", "Relativity", "people", "zzz"] {
-            let q = idx.doc(text);
-            assert_eq!(
-                idx.entity_candidates(&q, 5),
-                idx.entity_candidates_with(&q, 5, DEFAULT_RESCORING_FACTOR, &mut scratch),
-            );
-            assert_eq!(
-                idx.type_candidates(&q, 5),
-                idx.type_candidates_with(&q, 5, DEFAULT_RESCORING_FACTOR, &mut scratch),
-            );
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub use index::{
     DEFAULT_RESCORING_FACTOR,
 };
 pub use mmap::{Mapping, NumericSlice, SectionSource};
-pub use segment::{CandidateIndex, SegmentedIndex};
+pub use segment::SegmentedIndex;
 pub use snapshot::SnapshotError;
 pub use tfidf::{cosine, soft_tfidf, soft_tfidf_with_oov, IdfTable, TokenWeight, WeightedVec};
 pub use tokenize::{normalize, to_sorted_set, tokenize, Vocab};

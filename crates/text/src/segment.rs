@@ -45,20 +45,22 @@
 //! (asserted by `tests/segment_equivalence.rs` at 2/4/8 segments, and for
 //! the whole annotation pipeline by `webtable-core`'s equivalence tests).
 //!
-//! ## Cross-segment pruning and parallel fan-out
+//! ## Cross-segment pruning
 //!
-//! Sequential fan-out visits segments in order and skips a whole segment
-//! when the sum of its query-term upper bounds (the best overlap any of its
-//! lemmas could reach) cannot beat the current merged shortlist threshold —
-//! the same admissible bound WAND uses inside a segment, with the same
-//! [`WAND_SAFETY`] float margin, so pruning never changes results (later
-//! segments hold larger ranks and lose ties anyway). With
-//! [`set_parallel_probe`](SegmentedIndex::set_parallel_probe) segments are
-//! probed by scoped threads instead (no shared threshold, so no pruning);
-//! the merge order is total, so both modes return identical results.
+//! The fan-out visits segments in order on the calling thread and skips a
+//! whole segment when the sum of its query-term upper bounds (the best
+//! overlap any of its lemmas could reach) cannot beat the current merged
+//! shortlist threshold — the same admissible bound WAND uses inside a
+//! segment, with the same [`WAND_SAFETY`] float margin, so pruning never
+//! changes results (later segments hold larger ranks and lose ties
+//! anyway). [`probe_stats`](SegmentedIndex::probe_stats) counts the
+//! segments probed and skipped.
 //!
-//! At segment count 1 every call delegates straight to the inner
-//! [`LemmaIndex`] — no derived state, no overhead, trivially bit-identical.
+//! Candidate generation upstream probes this type only. At segment count 1
+//! every call delegates straight to the inner [`LemmaIndex`] — no derived
+//! state, no overhead, trivially bit-identical. The `*_with` probes run
+//! under [`ProbeMode::Auto`]; the `*_mode` probes force one pass and are
+//! the reference the equivalence suites compare WAND against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,131 +77,6 @@ use crate::tokenize::{normalize, to_sorted_set, Vocab};
 
 /// Sentinel for "token absent" in local↔global token maps.
 const UNSET: u32 = u32::MAX;
-
-/// Probe surface shared by [`LemmaIndex`] and [`SegmentedIndex`], so
-/// candidate generation upstream is generic over whether the catalog is
-/// monolithic or sharded. All methods match the [`LemmaIndex`] inherent
-/// methods of the same name.
-pub trait CandidateIndex: Send + Sync {
-    /// Prepares a query document against the (collection-wide) engine.
-    fn doc(&self, text: &str) -> TextDoc;
-    /// Top-`k` candidate entities with an explicit [`ProbeMode`].
-    fn entity_candidates_mode(
-        &self,
-        query: &TextDoc,
-        k: usize,
-        rescoring_factor: usize,
-        mode: ProbeMode,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Match<EntityId>>;
-    /// Top-`k` candidate types with an explicit [`ProbeMode`].
-    fn type_candidates_mode(
-        &self,
-        query: &TextDoc,
-        k: usize,
-        rescoring_factor: usize,
-        mode: ProbeMode,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Match<TypeId>>;
-    /// Top-`k` candidate entities under [`ProbeMode::Auto`].
-    fn entity_candidates_with(
-        &self,
-        query: &TextDoc,
-        k: usize,
-        rescoring_factor: usize,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Match<EntityId>> {
-        self.entity_candidates_mode(query, k, rescoring_factor, ProbeMode::Auto, scratch)
-    }
-    /// Top-`k` candidate types under [`ProbeMode::Auto`].
-    fn type_candidates_with(
-        &self,
-        query: &TextDoc,
-        k: usize,
-        rescoring_factor: usize,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Match<TypeId>> {
-        self.type_candidates_mode(query, k, rescoring_factor, ProbeMode::Auto, scratch)
-    }
-    /// Full similarity profile between a query and an entity.
-    fn entity_profile(&self, query: &TextDoc, e: EntityId) -> StringSim;
-    /// Full similarity profile between a query and a type.
-    fn type_profile(&self, query: &TextDoc, t: TypeId) -> StringSim;
-    /// Content digest (cache-compatibility fingerprint).
-    fn content_digest(&self) -> u64;
-}
-
-/// Smart pointers probe through to their pointee, so generic callers can
-/// pass `&Arc<SegmentedIndex>` (the shape annotators store) directly.
-impl<T: CandidateIndex + ?Sized> CandidateIndex for std::sync::Arc<T> {
-    fn doc(&self, text: &str) -> TextDoc {
-        (**self).doc(text)
-    }
-    fn entity_candidates_mode(
-        &self,
-        query: &TextDoc,
-        k: usize,
-        rescoring_factor: usize,
-        mode: ProbeMode,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Match<EntityId>> {
-        (**self).entity_candidates_mode(query, k, rescoring_factor, mode, scratch)
-    }
-    fn type_candidates_mode(
-        &self,
-        query: &TextDoc,
-        k: usize,
-        rescoring_factor: usize,
-        mode: ProbeMode,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Match<TypeId>> {
-        (**self).type_candidates_mode(query, k, rescoring_factor, mode, scratch)
-    }
-    fn entity_profile(&self, query: &TextDoc, e: EntityId) -> StringSim {
-        (**self).entity_profile(query, e)
-    }
-    fn type_profile(&self, query: &TextDoc, t: TypeId) -> StringSim {
-        (**self).type_profile(query, t)
-    }
-    fn content_digest(&self) -> u64 {
-        (**self).content_digest()
-    }
-}
-
-impl CandidateIndex for LemmaIndex {
-    fn doc(&self, text: &str) -> TextDoc {
-        LemmaIndex::doc(self, text)
-    }
-    fn entity_candidates_mode(
-        &self,
-        query: &TextDoc,
-        k: usize,
-        rescoring_factor: usize,
-        mode: ProbeMode,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Match<EntityId>> {
-        LemmaIndex::entity_candidates_mode(self, query, k, rescoring_factor, mode, scratch)
-    }
-    fn type_candidates_mode(
-        &self,
-        query: &TextDoc,
-        k: usize,
-        rescoring_factor: usize,
-        mode: ProbeMode,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Match<TypeId>> {
-        LemmaIndex::type_candidates_mode(self, query, k, rescoring_factor, mode, scratch)
-    }
-    fn entity_profile(&self, query: &TextDoc, e: EntityId) -> StringSim {
-        LemmaIndex::entity_profile(self, query, e)
-    }
-    fn type_profile(&self, query: &TextDoc, t: TypeId) -> StringSim {
-        LemmaIndex::type_profile(self, query, t)
-    }
-    fn content_digest(&self) -> u64 {
-        LemmaIndex::content_digest(self)
-    }
-}
 
 /// Per-segment state derived against the global engine (multi-segment only).
 #[derive(Debug)]
@@ -241,7 +118,6 @@ pub struct SegmentedIndex {
     type_bases: Vec<u32>,
     /// `None` iff there is exactly one segment (pure delegation).
     global: Option<GlobalState>,
-    parallel_probe: bool,
     /// Segments actually probed by multi-segment fan-outs.
     segments_probed: AtomicU64,
     /// Segments skipped by the cross-segment upper-bound test.
@@ -280,7 +156,6 @@ impl SegmentedIndex {
             entity_bases,
             type_bases,
             global,
-            parallel_probe: false,
             segments_probed: AtomicU64::new(0),
             segments_skipped: AtomicU64::new(0),
             content_digest,
@@ -344,9 +219,7 @@ impl SegmentedIndex {
                 .collect();
             segments.push(Arc::new(LemmaIndex::build_from_lists(&entities, &types, threads)));
         }
-        let mut out = SegmentedIndex::from_segments(segments);
-        out.parallel_probe = self.parallel_probe;
-        Ok(out)
+        Ok(SegmentedIndex::from_segments(segments))
     }
 
     /// Checks that this index's covered slice is exactly the prefix of
@@ -430,13 +303,6 @@ impl SegmentedIndex {
         }
     }
 
-    /// Whether multi-segment probes fan out on scoped threads (default:
-    /// sequential, which also enables cross-segment upper-bound pruning).
-    /// Results are identical either way.
-    pub fn set_parallel_probe(&mut self, on: bool) {
-        self.parallel_probe = on;
-    }
-
     /// `(probed, skipped)` segment counters accumulated by multi-segment
     /// fan-outs (a single-segment index never touches them).
     pub fn probe_stats(&self) -> (u64, u64) {
@@ -470,27 +336,8 @@ impl SegmentedIndex {
         mode: ProbeMode,
         scratch: &mut ProbeScratch,
     ) -> Vec<Match<EntityId>> {
-        match &self.global {
-            None => {
-                self.segments[0].entity_candidates_mode(query, k, rescoring_factor, mode, scratch)
-            }
-            Some(g) => {
-                self.owner_candidates_multi(
-                    g,
-                    query,
-                    RefKind::Entity,
-                    k,
-                    rescoring_factor,
-                    mode,
-                    scratch,
-                );
-                scratch
-                    .owners
-                    .iter()
-                    .map(|&(owner, score)| Match { id: EntityId(owner), score })
-                    .collect()
-            }
-        }
+        self.owner_candidates(query, RefKind::Entity, k, rescoring_factor, mode, scratch);
+        scratch.owners.iter().map(|&(owner, score)| Match { id: EntityId(owner), score }).collect()
     }
 
     /// See [`LemmaIndex::type_candidates_mode`]; fans out over segments.
@@ -502,53 +349,8 @@ impl SegmentedIndex {
         mode: ProbeMode,
         scratch: &mut ProbeScratch,
     ) -> Vec<Match<TypeId>> {
-        match &self.global {
-            None => {
-                self.segments[0].type_candidates_mode(query, k, rescoring_factor, mode, scratch)
-            }
-            Some(g) => {
-                self.owner_candidates_multi(
-                    g,
-                    query,
-                    RefKind::Type,
-                    k,
-                    rescoring_factor,
-                    mode,
-                    scratch,
-                );
-                scratch
-                    .owners
-                    .iter()
-                    .map(|&(owner, score)| Match { id: TypeId(owner), score })
-                    .collect()
-            }
-        }
-    }
-
-    /// Thread-local-scratch convenience, mirroring
-    /// [`LemmaIndex::entity_candidates`].
-    pub fn entity_candidates(&self, query: &TextDoc, k: usize) -> Vec<Match<EntityId>> {
-        crate::index::SHARED_SCRATCH.with(|s| {
-            self.entity_candidates_with(
-                query,
-                k,
-                crate::index::DEFAULT_RESCORING_FACTOR,
-                &mut s.borrow_mut(),
-            )
-        })
-    }
-
-    /// Thread-local-scratch convenience, mirroring
-    /// [`LemmaIndex::type_candidates`].
-    pub fn type_candidates(&self, query: &TextDoc, k: usize) -> Vec<Match<TypeId>> {
-        crate::index::SHARED_SCRATCH.with(|s| {
-            self.type_candidates_with(
-                query,
-                k,
-                crate::index::DEFAULT_RESCORING_FACTOR,
-                &mut s.borrow_mut(),
-            )
-        })
+        self.owner_candidates(query, RefKind::Type, k, rescoring_factor, mode, scratch);
+        scratch.owners.iter().map(|&(owner, score)| Match { id: TypeId(owner), score }).collect()
     }
 
     /// [`ProbeMode::Auto`] convenience (see `entity_candidates_mode`).
@@ -599,15 +401,22 @@ impl SegmentedIndex {
         }
     }
 
-    /// Multi-segment fan-out: per-segment overlap shortlists merged under
-    /// (overlap desc, global rank asc), cosine-rescored against refreshed
-    /// docs, deduplicated to the best score per owner — leaving the top-`k`
-    /// `(global owner, score)` pairs in `scratch.owners`, exactly as the
-    /// monolithic [`LemmaIndex`] pass would.
-    #[allow(clippy::too_many_arguments)]
-    fn owner_candidates_multi(
+    /// Leaves the top-`k` `(global owner, score)` pairs in `scratch.owners`.
+    /// One segment delegates to it; several fan out: per-segment overlap
+    /// shortlists merged under (overlap desc, global rank asc),
+    /// cosine-rescored against refreshed docs, deduplicated to the best
+    /// score per owner — exactly as the monolithic [`LemmaIndex`] pass
+    /// would.
+    ///
+    /// Segments are visited in order, and a segment whose best-possible
+    /// overlap (sum of its query-term upper bounds, with the
+    /// [`WAND_SAFETY`] margin) cannot beat the current merged threshold is
+    /// skipped entirely. Admissible for the same reason the WAND skip is —
+    /// and ties are safe to skip because every lemma of a later segment has
+    /// a larger global rank than every already-merged lemma, so at equal
+    /// overlap it loses the tie-break anyway.
+    fn owner_candidates(
         &self,
-        g: &GlobalState,
         query: &TextDoc,
         kind: RefKind,
         k: usize,
@@ -615,53 +424,11 @@ impl SegmentedIndex {
         mode: ProbeMode,
         scratch: &mut ProbeScratch,
     ) {
-        let shortlist = k.saturating_mul(rescoring_factor).max(16);
-        if self.parallel_probe {
-            self.fan_out_parallel(g, query, kind, shortlist, mode, scratch);
-        } else {
-            self.fan_out_sequential(g, query, kind, shortlist, mode, scratch);
-        }
-        // Rescore the merged shortlist by exact cosine against the refreshed
-        // (= monolithic) documents, then reduce to best-per-owner.
-        let mut merged = std::mem::take(&mut scratch.merged);
-        for entry in merged.iter_mut() {
-            let doc = &g.per_seg[entry.2 as usize].docs[entry.3 as usize];
-            entry.0 = cosine(&query.vec, &doc.vec);
-        }
-        merged.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        let owner_bases = match kind {
-            RefKind::Entity => &self.entity_bases,
-            RefKind::Type => &self.type_bases,
+        let Some(g) = &self.global else {
+            let seg = &self.segments[0];
+            return seg.owner_candidates(query, kind, k, rescoring_factor, mode, scratch);
         };
-        let owners = &mut scratch.owners;
-        owners.clear();
-        owners.extend(merged.iter().map(|&(score, _, si, li)| {
-            let owner = self.segments[si as usize].lemma_owner(li) + owner_bases[si as usize];
-            (owner, score)
-        }));
-        scratch.merged = merged;
-        owners.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.total_cmp(&a.1)));
-        owners.dedup_by_key(|p| p.0);
-        owners.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        owners.truncate(k);
-    }
-
-    /// Sequential fan-out with cross-segment pruning: a segment whose
-    /// best-possible overlap (sum of its query-term upper bounds, with the
-    /// [`WAND_SAFETY`] margin) cannot beat the current merged threshold is
-    /// skipped entirely. Admissible for the same reason the WAND skip is —
-    /// and ties are safe to skip because every lemma of a later segment has
-    /// a larger global rank than every already-merged lemma, so at equal
-    /// overlap it loses the tie-break anyway.
-    fn fan_out_sequential(
-        &self,
-        g: &GlobalState,
-        query: &TextDoc,
-        kind: RefKind,
-        shortlist: usize,
-        mode: ProbeMode,
-        scratch: &mut ProbeScratch,
-    ) {
+        let shortlist = k.saturating_mul(rescoring_factor).max(16);
         scratch.merged.clear();
         let mut threshold = f64::NEG_INFINITY;
         let mut probed = 0u64;
@@ -697,98 +464,29 @@ impl SegmentedIndex {
         }
         self.segments_probed.fetch_add(probed, Ordering::Relaxed);
         self.segments_skipped.fetch_add(skipped, Ordering::Relaxed);
-    }
-
-    /// Parallel fan-out: one scoped thread per segment, each with its own
-    /// scratch (no shared threshold → no cross-segment pruning), merged
-    /// after the barrier. Same results as the sequential path.
-    fn fan_out_parallel(
-        &self,
-        g: &GlobalState,
-        query: &TextDoc,
-        kind: RefKind,
-        shortlist: usize,
-        mode: ProbeMode,
-        scratch: &mut ProbeScratch,
-    ) {
-        let per_seg: Vec<Vec<(f64, u32, u32, u32)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.segments.len())
-                .map(|si| {
-                    scope.spawn(move || {
-                        let seg = &self.segments[si];
-                        let derived = &g.per_seg[si];
-                        let mut local = ProbeScratch::new();
-                        let (_, total_postings) =
-                            gather_terms(seg, derived, &g.engine, query, kind, &mut local);
-                        if local.wand_terms.is_empty() {
-                            return Vec::new();
-                        }
-                        let postings = seg.postings(kind);
-                        run_overlap(
-                            postings,
-                            seg.num_lemmas(),
-                            shortlist,
-                            mode,
-                            total_postings,
-                            &mut local,
-                        );
-                        merge_hits(g, kind, si as u32, derived.entity_lemma_count, &mut local);
-                        local.merged
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("segment probe worker")).collect()
-        });
-        scratch.merged.clear();
-        let mut probed = 0u64;
-        for hits in per_seg {
-            if !hits.is_empty() {
-                probed += 1;
-            }
-            scratch.merged.extend(hits);
+        // Rescore the merged shortlist by exact cosine against the refreshed
+        // (= monolithic) documents, then reduce to best-per-owner.
+        let mut merged = std::mem::take(&mut scratch.merged);
+        for entry in merged.iter_mut() {
+            let doc = &g.per_seg[entry.2 as usize].docs[entry.3 as usize];
+            entry.0 = cosine(&query.vec, &doc.vec);
         }
-        if scratch.merged.len() > shortlist && shortlist > 0 {
-            scratch.merged.select_nth_unstable_by(shortlist - 1, |a, b| {
-                b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
-            });
-            scratch.merged.truncate(shortlist);
-        }
-        self.segments_probed.fetch_add(probed, Ordering::Relaxed);
-    }
-}
-
-impl CandidateIndex for SegmentedIndex {
-    fn doc(&self, text: &str) -> TextDoc {
-        SegmentedIndex::doc(self, text)
-    }
-    fn entity_candidates_mode(
-        &self,
-        query: &TextDoc,
-        k: usize,
-        rescoring_factor: usize,
-        mode: ProbeMode,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Match<EntityId>> {
-        SegmentedIndex::entity_candidates_mode(self, query, k, rescoring_factor, mode, scratch)
-    }
-    fn type_candidates_mode(
-        &self,
-        query: &TextDoc,
-        k: usize,
-        rescoring_factor: usize,
-        mode: ProbeMode,
-        scratch: &mut ProbeScratch,
-    ) -> Vec<Match<TypeId>> {
-        SegmentedIndex::type_candidates_mode(self, query, k, rescoring_factor, mode, scratch)
-    }
-    fn entity_profile(&self, query: &TextDoc, e: EntityId) -> StringSim {
-        SegmentedIndex::entity_profile(self, query, e)
-    }
-    fn type_profile(&self, query: &TextDoc, t: TypeId) -> StringSim {
-        SegmentedIndex::type_profile(self, query, t)
-    }
-    fn content_digest(&self) -> u64 {
-        SegmentedIndex::content_digest(self)
+        merged.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let owner_bases = match kind {
+            RefKind::Entity => &self.entity_bases,
+            RefKind::Type => &self.type_bases,
+        };
+        let owners = &mut scratch.owners;
+        owners.clear();
+        owners.extend(merged.iter().map(|&(score, _, si, li)| {
+            let owner = self.segments[si as usize].lemma_owner(li) + owner_bases[si as usize];
+            (owner, score)
+        }));
+        scratch.merged = merged;
+        owners.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.total_cmp(&a.1)));
+        owners.dedup_by_key(|p| p.0);
+        owners.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        owners.truncate(k);
     }
 }
 

@@ -276,8 +276,8 @@ fn index_is_deterministic_and_ranked() {
     let cat = b.finish().unwrap();
     let idx = webtable_text::LemmaIndex::build(&cat);
     let q = idx.doc("entity number 7");
-    let r1 = idx.entity_candidates(&q, 10);
-    let r2 = idx.entity_candidates(&q, 10);
+    let probe = |q| idx.entity_candidates_with(q, 10, 6, &mut ProbeScratch::new());
+    let (r1, r2) = (probe(&q), probe(&q));
     assert_eq!(r1.len(), r2.len());
     for (a, b) in r1.iter().zip(&r2) {
         assert_eq!(a.id, b.id);

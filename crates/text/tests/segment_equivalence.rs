@@ -2,10 +2,9 @@
 //! must be **bit-identical** to the monolithic [`LemmaIndex`] (same layout,
 //! same digest, same probes), and at 2/4/8 segments the cross-segment
 //! top-k merge must reproduce the monolithic candidate lists bit for bit —
-//! across probe modes, with sequential and parallel fan-out, and after
-//! growing by [`SegmentedIndex::append`] (chained, and over segments
-//! restored from snapshot bytes), which must reject non-append changes
-//! with a typed [`ExtendError`].
+//! across probe modes, and after growing by [`SegmentedIndex::append`]
+//! (chained, and over segments restored from snapshot bytes), which must
+//! reject non-append changes with a typed [`ExtendError`].
 
 use std::sync::Arc;
 
@@ -124,10 +123,6 @@ fn assert_segmented_matches_monolithic(cat: &Catalog, queries: &[String]) {
         assert_eq!(seg.num_indexed_types(), cat.num_types());
         seg.verify_catalog(cat).expect("segments cover the catalog");
         assert_probe_equivalence(&mono, &seg, queries, &format!("{num_segments} segments"));
-        // Parallel fan-out must agree with sequential (and the monolith).
-        let mut par = SegmentedIndex::build_split(cat, num_segments, 1);
-        par.set_parallel_probe(true);
-        assert_probe_equivalence(&mono, &par, queries, &format!("{num_segments} segments ∥"));
     }
 }
 

@@ -67,6 +67,11 @@ impl CatalogBuilder {
         self.entities.len()
     }
 
+    /// Number of relations added so far.
+    pub fn num_relations(&self) -> usize {
+        self.relations.len()
+    }
+
     /// Adds a type with the given canonical name and extra lemmas.
     ///
     /// The canonical name is automatically the first lemma. Returns an error
@@ -234,6 +239,7 @@ impl CatalogBuilder {
     /// hierarchy does not already have a unique top element, and every
     /// parentless type (and typeless entity) is attached to it.
     pub fn finish(mut self) -> Result<Catalog, CatalogError> {
+        self.check_references()?;
         self.ensure_root();
         self.check_acyclic()?;
         Catalog::from_parts(
@@ -279,6 +285,29 @@ impl CatalogBuilder {
                 e.direct_types.push(root);
             }
         }
+    }
+
+    fn check_references(&self) -> Result<(), CatalogError> {
+        let (num_types, num_entities) = (self.types.len(), self.entities.len());
+        for ent in &self.entities {
+            if let Some(t) = ent.direct_types.iter().find(|t| t.index() >= num_types) {
+                let detail = format!("id {} (a direct type of `{}`)", t.raw(), ent.name);
+                return Err(CatalogError::UnknownType(detail));
+            }
+        }
+        for rel in &self.relations {
+            let schema = [rel.left_type, rel.right_type];
+            if let Some(t) = schema.iter().find(|t| t.index() >= num_types) {
+                let detail = format!("id {} (in the schema of `{}`)", t.raw(), rel.name);
+                return Err(CatalogError::UnknownType(detail));
+            }
+            let mut members = rel.tuples.iter().flat_map(|&(e1, e2)| [e1, e2]);
+            if let Some(e) = members.find(|e| e.index() >= num_entities) {
+                let detail = format!("id {} (in a tuple of `{}`)", e.raw(), rel.name);
+                return Err(CatalogError::UnknownEntity(detail));
+            }
+        }
+        Ok(())
     }
 
     fn check_acyclic(&self) -> Result<(), CatalogError> {
@@ -367,6 +396,23 @@ mod tests {
         b.add_subtype(a, c);
         b.add_subtype(c, a);
         assert!(matches!(b.finish(), Err(CatalogError::CyclicTypeHierarchy { .. })));
+    }
+
+    #[test]
+    fn dangling_ids_are_rejected() {
+        let mut b = CatalogBuilder::new();
+        let t = b.add_type("t", &[]).unwrap();
+        b.add_entity("x", &[], &[TypeId(7)]).unwrap();
+        assert!(matches!(b.finish(), Err(CatalogError::UnknownType(_))));
+        let mut b = CatalogBuilder::new();
+        b.add_type("t", &[]).unwrap();
+        let r = b.add_relation("r", t, TypeId(7), Cardinality::ManyToMany).unwrap();
+        assert!(matches!(b.finish(), Err(CatalogError::UnknownType(_))));
+        let mut b = CatalogBuilder::new();
+        b.add_type("t", &[]).unwrap();
+        b.add_relation("r", t, t, Cardinality::ManyToMany).unwrap();
+        b.add_tuple(r, EntityId(0), EntityId(0));
+        assert!(matches!(b.finish(), Err(CatalogError::UnknownEntity(_))));
     }
 
     #[test]

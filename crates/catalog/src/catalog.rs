@@ -10,15 +10,15 @@
 //!   `dist(E, T)` (one `∈` edge followed by zero or more `⊆` edges, §4.2.3);
 //! * `E(T)` — the transitive extent of a type (sorted entity ids);
 //! * type specificity `|E| / |E(T)|` (the IDF-style feature);
+//! * per small type, the missing-link relatedness ratios (feature `f3`);
 //! * per-relation participation fractions (feature `f4`);
 //! * an entity-pair → relations index (candidate relations, §4.3).
 //!
-//! The catalog is logically immutable and cheap to share across
-//! annotation threads (`Send + Sync`); the only interior mutability is a
-//! memo table for derived relatedness ratios.
+//! The catalog is immutable and cheap to share across annotation threads
+//! (`Send + Sync`): it holds no lock and no memo, so every query is a
+//! plain read.
 
 use std::collections::HashMap;
-use std::sync::RwLock;
 
 use crate::error::CatalogError;
 use crate::ids::{EntityId, RelationId, TypeId};
@@ -52,12 +52,11 @@ pub struct Catalog {
     participation_left: Vec<f64>,
     /// Per relation: fraction of `E(T2)` appearing on the right.
     participation_right: Vec<f64>,
-    /// Memo for [`Catalog::missing_link_relatedness`] ratios, keyed by
-    /// `(direct type, target type)`. Logically the catalog stays
-    /// immutable; this is pure memoization of a derived quantity that the
-    /// annotator queries for the same type pairs across every table of a
-    /// corpus.
-    relatedness_memo: RwLock<HashMap<(TypeId, TypeId), f64>>,
+    /// Per type `tp` with `0 < |E(tp)| ≤ MISSING_LINK_EXTENT_CAP`: every
+    /// type `t` whose extent meets `E(tp)`, with `|E(tp) ∩ E(t)| / |E(tp)|`,
+    /// sorted by `t`. Empty for every other type. Read by
+    /// [`Catalog::missing_link_relatedness`].
+    relatedness: Vec<Vec<(TypeId, f64)>>,
 }
 
 impl Catalog {
@@ -82,6 +81,7 @@ impl Catalog {
         let (entity_types, entity_type_dist) = compute_entity_types(&types, &entities);
         let (extent, min_entity_dist) =
             compute_extents(types.len(), &entity_types, &entity_type_dist);
+        let relatedness = compute_relatedness(&extent, &entity_types);
 
         if strict_schemas {
             for rel in &relations {
@@ -138,7 +138,7 @@ impl Catalog {
             pair_relations,
             participation_left,
             participation_right,
-            relatedness_memo: RwLock::new(HashMap::new()),
+            relatedness,
         })
     }
 
@@ -368,31 +368,24 @@ impl Catalog {
     /// `min_{T' : E ∈ T'} |E(T') ∩ E(T)| / |E(T')|`, over the immediate
     /// (direct) types `T'` of `e`. Zero when `e` has no direct type with a
     /// non-empty extent of specific size (see
-    /// [`Catalog::MISSING_LINK_EXTENT_CAP`]).
+    /// [`Catalog::MISSING_LINK_EXTENT_CAP`]). Each ratio is one binary
+    /// search in a row precomputed at construction.
     pub fn missing_link_relatedness(&self, e: EntityId, t: TypeId) -> f64 {
         let mut best: Option<f64> = None;
         for &tp in &self.entities[e.index()].direct_types {
-            let denom = self.extent_size(tp);
-            if denom == 0 || denom > Self::MISSING_LINK_EXTENT_CAP {
+            // Only empty and over-cap extents have an empty row: any other
+            // row holds at least `(tp, 1.0)`.
+            let row = &self.relatedness[tp.index()];
+            if row.is_empty() {
                 continue;
             }
-            let ratio = self.relatedness_ratio(tp, t, denom);
+            let ratio = row.binary_search_by_key(&t, |&(u, _)| u).map_or(0.0, |i| row[i].1);
             best = Some(match best {
                 Some(b) => b.min(ratio),
                 None => ratio,
             });
         }
         best.unwrap_or(0.0)
-    }
-
-    /// `|E(tp) ∩ E(t)| / |E(tp)|`, memoized (see `relatedness_memo`).
-    fn relatedness_ratio(&self, tp: TypeId, t: TypeId, denom: usize) -> f64 {
-        if let Some(&r) = self.relatedness_memo.read().expect("memo lock").get(&(tp, t)) {
-            return r;
-        }
-        let ratio = self.extent_overlap(tp, t) as f64 / denom as f64;
-        self.relatedness_memo.write().expect("memo lock").insert((tp, t), ratio);
-        ratio
     }
 
     // ------------------------------------------------------------------
@@ -546,6 +539,39 @@ fn compute_extents(
     (extent, min_dist)
 }
 
+/// The rows behind [`Catalog::missing_link_relatedness`]. For each type
+/// `tp` within the extent cap, counts `|E(tp) ∩ E(t)|` for every `t` at
+/// once by walking `T(e')` for each `e' ∈ E(tp)`, then divides by
+/// `|E(tp)|` exactly as a pairwise `extent_overlap` would.
+fn compute_relatedness(
+    extent: &[Vec<EntityId>],
+    entity_types: &[Vec<TypeId>],
+) -> Vec<Vec<(TypeId, f64)>> {
+    let mut counts = vec![0usize; extent.len()];
+    let mut touched: Vec<TypeId> = Vec::new();
+    extent
+        .iter()
+        .map(|ext| {
+            if ext.is_empty() || ext.len() > Catalog::MISSING_LINK_EXTENT_CAP {
+                return Vec::new();
+            }
+            for &e in ext {
+                for &t in &entity_types[e.index()] {
+                    if counts[t.index()] == 0 {
+                        touched.push(t);
+                    }
+                    counts[t.index()] += 1;
+                }
+            }
+            touched.sort_unstable();
+            touched
+                .drain(..)
+                .map(|t| (t, std::mem::take(&mut counts[t.index()]) as f64 / ext.len() as f64))
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use crate::builder::CatalogBuilder;
@@ -688,6 +714,31 @@ mod tests {
         assert!(rel < 1.0);
         assert_eq!(cat.dist(clue, nancy), None, "the link really is missing");
         assert_eq!(cat.min_entity_dist(nancy), Some(1));
+    }
+
+    #[test]
+    fn missing_link_relatedness_stops_at_the_extent_cap() {
+        // Two direct types, one exactly at the cap and one just past it;
+        // half of each is also in `target`. Each probe entity is only in
+        // its own direct type.
+        let cap = Catalog::MISSING_LINK_EXTENT_CAP;
+        let mut b = CatalogBuilder::new();
+        let target = b.add_type("target", &[]).unwrap();
+        let at_cap = b.add_type("at cap", &[]).unwrap();
+        let over_cap = b.add_type("over cap", &[]).unwrap();
+        let mut probes = Vec::new();
+        for (tp, size) in [(at_cap, cap), (over_cap, cap + 1)] {
+            probes.push(b.add_entity(format!("{size}/probe"), &[], &[tp]).unwrap());
+            for i in 1..size {
+                let direct: &[TypeId] = if i <= cap / 2 { &[tp, target] } else { &[tp] };
+                b.add_entity(format!("{size}/{i}"), &[], direct).unwrap();
+            }
+        }
+        let cat = b.finish().unwrap();
+        assert_eq!(cat.extent_size(at_cap), cap);
+        assert_eq!(cat.extent_size(over_cap), cap + 1);
+        assert_eq!(cat.missing_link_relatedness(probes[0], target), 0.5);
+        assert_eq!(cat.missing_link_relatedness(probes[1], target), 0.0);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! ```
 //!
 //! Records must appear in the above kind-order; ids must be dense and in
-//! ascending order within a kind (this is what the writer produces).
+//! ascending order within a kind (this is what the writer produces). So
+//! every id a record references names a record read above it; any other
+//! id is a parse error at its line.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -23,7 +25,7 @@ use std::path::Path;
 use crate::builder::CatalogBuilder;
 use crate::catalog::Catalog;
 use crate::error::CatalogError;
-use crate::ids::{EntityId, TypeId};
+use crate::ids::{EntityId, RelationId, TypeId};
 use crate::schema::Cardinality;
 
 const HEADER: &str = "#webtable-catalog v1";
@@ -46,17 +48,11 @@ fn escape(s: &str) -> String {
 /// Reverses [`escape`].
 fn unescape(s: &str) -> Result<String, String> {
     let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            if i + 2 > bytes.len() && i + 2 > bytes.len() - 1 {
-                return Err("truncated escape".into());
-            }
-            if i + 2 >= bytes.len() {
-                return Err("truncated escape".into());
-            }
-            let hex = &s[i + 1..i + 3];
+    while i < s.len() {
+        if s.as_bytes()[i] == b'%' {
+            // `get` also refuses a range that would split a UTF-8 char.
+            let hex = s.get(i + 1..i + 3).ok_or_else(|| "truncated escape".to_string())?;
             let v = u8::from_str_radix(hex, 16).map_err(|_| format!("bad escape %{hex}"))?;
             out.push(v as char);
             i += 3;
@@ -141,6 +137,14 @@ pub fn read_catalog<R: Read>(r: R) -> Result<Catalog, CatalogError> {
         let parse_u32 = |s: &str| -> Result<u32, CatalogError> {
             s.parse::<u32>().map_err(|_| parse_err(lineno, format!("bad id `{s}`")))
         };
+        // A reference to a record of `kind`, of which `count` are read so far.
+        let parse_ref = |s: &str, kind: &str, count: usize| -> Result<u32, CatalogError> {
+            let id = parse_u32(s)?;
+            if id as usize >= count {
+                return Err(parse_err(lineno, format!("unknown {kind} id {id}")));
+            }
+            Ok(id)
+        };
         match fields[0] {
             "T" => {
                 if fields.len() != 4 {
@@ -162,7 +166,9 @@ pub fn read_catalog<R: Read>(r: R) -> Result<Catalog, CatalogError> {
                 if fields.len() != 3 {
                     return Err(parse_err(lineno, "TP record needs 3 fields".into()));
                 }
-                b.add_subtype(TypeId(parse_u32(fields[1])?), TypeId(parse_u32(fields[2])?));
+                let child = parse_ref(fields[1], "type", b.num_types())?;
+                let parent = parse_ref(fields[2], "type", b.num_types())?;
+                b.add_subtype(TypeId(child), TypeId(parent));
             }
             "E" => {
                 if fields.len() != 4 {
@@ -184,7 +190,9 @@ pub fn read_catalog<R: Read>(r: R) -> Result<Catalog, CatalogError> {
                 if fields.len() != 3 {
                     return Err(parse_err(lineno, "ET record needs 3 fields".into()));
                 }
-                b.add_instance(EntityId(parse_u32(fields[1])?), TypeId(parse_u32(fields[2])?));
+                let e = parse_ref(fields[1], "entity", b.num_entities())?;
+                let t = parse_ref(fields[2], "type", b.num_types())?;
+                b.add_instance(EntityId(e), TypeId(t));
             }
             "R" => {
                 if fields.len() != 6 {
@@ -194,12 +202,9 @@ pub fn read_catalog<R: Read>(r: R) -> Result<Catalog, CatalogError> {
                 let name = unescape(fields[2]).map_err(|e| parse_err(lineno, e))?;
                 let card = Cardinality::from_token(fields[5])
                     .ok_or_else(|| parse_err(lineno, format!("bad cardinality `{}`", fields[5])))?;
-                let rid = b.add_relation(
-                    name,
-                    TypeId(parse_u32(fields[3])?),
-                    TypeId(parse_u32(fields[4])?),
-                    card,
-                )?;
+                let left = parse_ref(fields[3], "type", b.num_types())?;
+                let right = parse_ref(fields[4], "type", b.num_types())?;
+                let rid = b.add_relation(name, TypeId(left), TypeId(right), card)?;
                 if rid.raw() != id {
                     return Err(parse_err(lineno, format!("non-dense relation id {id}")));
                 }
@@ -208,12 +213,10 @@ pub fn read_catalog<R: Read>(r: R) -> Result<Catalog, CatalogError> {
                 if fields.len() != 4 {
                     return Err(parse_err(lineno, "RT record needs 4 fields".into()));
                 }
-                let rid = parse_u32(fields[1])?;
-                b.add_tuple(
-                    crate::ids::RelationId(rid),
-                    EntityId(parse_u32(fields[2])?),
-                    EntityId(parse_u32(fields[3])?),
-                );
+                let rid = parse_ref(fields[1], "relation", b.num_relations())?;
+                let e1 = parse_ref(fields[2], "entity", b.num_entities())?;
+                let e2 = parse_ref(fields[3], "entity", b.num_entities())?;
+                b.add_tuple(RelationId(rid), EntityId(e1), EntityId(e2));
             }
             other => {
                 return Err(parse_err(lineno, format!("unknown record kind `{other}`")));
@@ -237,6 +240,8 @@ pub fn load_catalog<P: AsRef<Path>>(path: P) -> Result<Catalog, CatalogError> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::builder::CatalogBuilder;
 
@@ -301,5 +306,74 @@ mod tests {
         let mut text = String::from_utf8(buf).unwrap();
         text.push_str("\n# trailing comment\n\n");
         assert!(read_catalog(text.as_bytes()).is_ok());
+    }
+
+    fn sample_tsv() -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_catalog(&sample(), &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn out_of_range_ids_are_parse_errors_at_their_line() {
+        let valid = sample_tsv();
+        let last_line = valid.iter().filter(|&&b| b == b'\n').count();
+        let records = [
+            "TP\t999\t0",
+            "TP\t0\t999",
+            "ET\t999\t0",
+            "ET\t0\t999",
+            "R\t1\tr\t0\t999\tN:N",
+            "RT\t7\t0\t0",
+            "RT\t0\t999\t0",
+            "RT\t0\t0\t999",
+        ];
+        for record in records {
+            let mut text = valid.clone();
+            text.extend_from_slice(format!("{record}\n").as_bytes());
+            match read_catalog(&text[..]) {
+                Err(CatalogError::Parse { line, detail }) => {
+                    assert_eq!(line, last_line + 1, "{record}: {detail}");
+                    assert!(detail.starts_with("unknown "), "{record}: {detail}");
+                }
+                other => panic!("{record}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn escapes_that_split_a_char_are_parse_errors() {
+        let text = format!("{HEADER}\nT\t0\t%aé\tx\n");
+        assert!(matches!(read_catalog(text.as_bytes()), Err(CatalogError::Parse { line: 2, .. })));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_read_or_fail_typed(
+            bytes in proptest::collection::vec(any::<u8>(), 0..1024),
+        ) {
+            // A panic fails the test; any `Result` is a pass.
+            let _ = read_catalog(&bytes[..]);
+        }
+
+        #[test]
+        fn mutated_catalogs_read_or_fail_typed(
+            inserts in proptest::collection::vec((any::<usize>(), 0usize..12), 0..4),
+            flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+            keep in any::<usize>(),
+        ) {
+            let mut bytes = sample_tsv();
+            for (at, which) in inserts {
+                bytes.insert(at % (bytes.len() + 1), b"\t\n0123456789"[which]);
+            }
+            for (at, mask) in flips {
+                let i = at % bytes.len();
+                bytes[i] ^= mask;
+            }
+            bytes.truncate(keep % (bytes.len() + 1));
+            let _ = read_catalog(&bytes[..]);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for catalog closure invariants over random DAGs.
 
 use proptest::prelude::*;
-use webtable_catalog::{Cardinality, CatalogBuilder, EntityId, TypeId};
+use webtable_catalog::{Cardinality, Catalog, CatalogBuilder, EntityId, TypeId};
 
 /// Strategy: a random catalog with `n_types` in a random DAG (each type may
 /// attach to earlier types), `n_entities` with 1–2 random direct types, and
@@ -46,6 +46,22 @@ fn arb_catalog() -> impl Strategy<Value = webtable_catalog::Catalog> {
             b.finish().unwrap()
         },
     )
+}
+
+/// `missing_link_relatedness` recomputed pair by pair from the extents:
+/// the min, over `e`'s direct types in order, of
+/// `|E(tp) ∩ E(t)| / |E(tp)|`, skipping empty and over-cap extents.
+fn reference_relatedness(cat: &Catalog, e: EntityId, t: TypeId) -> f64 {
+    let mut best: Option<f64> = None;
+    for &tp in &cat.entity(e).direct_types {
+        let denom = cat.extent_size(tp);
+        if denom == 0 || denom > Catalog::MISSING_LINK_EXTENT_CAP {
+            continue;
+        }
+        let ratio = cat.extent_overlap(tp, t) as f64 / denom as f64;
+        best = Some(best.map_or(ratio, |b| b.min(ratio)));
+    }
+    best.unwrap_or(0.0)
 }
 
 proptest! {
@@ -146,6 +162,19 @@ proptest! {
             for t in cat.type_ids() {
                 let r = cat.missing_link_relatedness(e, t);
                 prop_assert!((0.0..=1.0).contains(&r));
+            }
+        }
+    }
+
+    #[test]
+    fn missing_link_relatedness_matches_extent_overlap_bitwise(cat in arb_catalog()) {
+        for e in cat.entity_ids() {
+            for t in cat.type_ids() {
+                prop_assert_eq!(
+                    cat.missing_link_relatedness(e, t).to_bits(),
+                    reference_relatedness(&cat, e, t).to_bits(),
+                    "({:?}, {:?})", e, t
+                );
             }
         }
     }

@@ -26,6 +26,10 @@ use crate::weights::{F3_DIM, F4_DIM, F5_DIM};
 /// [`CompatMode`]; the missing-link element is 0. When `E ∉+ T`, compat is
 /// 0 and (if enabled) the missing-link element is
 /// `min_{T'∋E} |E(T')∩E(T)|/|E(T')| · 1/min_{E'∈E(T)} dist(E',T)` (§4.2.3).
+///
+/// A pure function of the catalog: every term is a lookup in a table
+/// [`Catalog`] precomputed at construction, with no lock and no memo, so
+/// callers evaluate it directly instead of caching it.
 pub fn f3(catalog: &Catalog, cfg: &AnnotatorConfig, t: TypeId, e: EntityId) -> [f64; F3_DIM] {
     match catalog.dist(e, t) {
         Some(d) => {

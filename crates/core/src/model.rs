@@ -11,9 +11,7 @@
 // (candidate grids, variable grids, the table itself).
 #![allow(clippy::needless_range_loop)]
 
-use std::collections::HashMap;
-
-use webtable_catalog::{Catalog, EntityId, TypeId};
+use webtable_catalog::Catalog;
 use webtable_factorgraph::{propagate, BpOptions, FactorGraph, VarId};
 use webtable_tables::{GroundTruth, Table};
 
@@ -77,10 +75,10 @@ impl<'a> TableModel<'a> {
             }
         }
 
-        // f3 values are table-independent per (T, E): cache across cells.
-        let mut f3_cache: HashMap<(TypeId, EntityId), f64> = HashMap::new();
-
         // --- Schedule group 1: φ3(t_c, e_rc) per cell ---
+        // `f3` is a few lookups in tables the catalog precomputed, so it is
+        // evaluated per entry: most (T, E) pairs of a table are distinct,
+        // and a per-table memo cost more than it saved.
         for c in 0..n {
             let types = &cands.columns[c].types;
             for r in 0..m {
@@ -95,12 +93,8 @@ impl<'a> TableModel<'a> {
                             table_vals.push(0.0);
                             continue;
                         }
-                        let t = types[ti - 1];
-                        let e = ents[ei - 1];
-                        let v = *f3_cache
-                            .entry((t, e))
-                            .or_insert_with(|| dot(&weights.w3, &f3(catalog, cfg, t, e)));
-                        table_vals.push(v);
+                        let f = f3(catalog, cfg, types[ti - 1], ents[ei - 1]);
+                        table_vals.push(dot(&weights.w3, &f));
                     }
                 }
                 graph.add_factor(&[tvar[c], evar[r][c]], table_vals);

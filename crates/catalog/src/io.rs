@@ -2,7 +2,9 @@
 //!
 //! The format is deliberately simple and diff-friendly (one record per
 //! line, tab-separated fields, `|`-joined lemma lists). Special characters
-//! inside names/lemmas (`\t`, `\n`, `|`, `%`) are percent-escaped.
+//! inside names/lemmas (`\t`, `\n`, `|`, `%`) are percent-escaped. The
+//! reader decodes any `%XX` to a byte and requires UTF-8 of the result, so
+//! files from other tools may escape more (`caf%C3%A9` reads as `café`).
 //!
 //! ```text
 //! #webtable-catalog v1
@@ -45,25 +47,24 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Reverses [`escape`].
+/// Reverses [`escape`]. Each `%XX` (exactly two ASCII hex digits) decodes
+/// to one byte, and the decoded bytes must form UTF-8, so a file from
+/// another tool may escape a multi-byte char byte by byte (`caf%C3%A9`).
 fn unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut i = 0;
-    while i < s.len() {
-        if s.as_bytes()[i] == b'%' {
-            // `get` also refuses a range that would split a UTF-8 char.
-            let hex = s.get(i + 1..i + 3).ok_or_else(|| "truncated escape".to_string())?;
-            let v = u8::from_str_radix(hex, 16).map_err(|_| format!("bad escape %{hex}"))?;
-            out.push(v as char);
-            i += 3;
-        } else {
-            // Multi-byte UTF-8 safe: advance by char.
-            let ch = s[i..].chars().next().expect("in-bounds char");
-            out.push(ch);
-            i += ch.len_utf8();
+    let mut out = Vec::with_capacity(s.len());
+    let mut rest = s.as_bytes();
+    while let Some(at) = rest.iter().position(|&b| b == b'%') {
+        out.extend_from_slice(&rest[..at]);
+        let hex = rest.get(at + 1..at + 3).ok_or("truncated escape")?;
+        // `to_digit` takes no sign, unlike `u8::from_str_radix`.
+        match ((hex[0] as char).to_digit(16), (hex[1] as char).to_digit(16)) {
+            (Some(hi), Some(lo)) => out.push((hi << 4 | lo) as u8),
+            _ => return Err(format!("bad escape %{}", String::from_utf8_lossy(hex))),
         }
+        rest = &rest[at + 3..];
     }
-    Ok(out)
+    out.extend_from_slice(rest);
+    String::from_utf8(out).map_err(|_| "escapes decode to invalid UTF-8".to_string())
 }
 
 /// Serializes a catalog to a writer in the v1 TSV format.
@@ -345,6 +346,36 @@ mod tests {
     fn escapes_that_split_a_char_are_parse_errors() {
         let text = format!("{HEADER}\nT\t0\t%aé\tx\n");
         assert!(matches!(read_catalog(text.as_bytes()), Err(CatalogError::Parse { line: 2, .. })));
+    }
+
+    #[test]
+    fn escapes_decode_to_bytes_then_utf8() {
+        assert_eq!(unescape("caf%C3%A9").unwrap(), "café");
+        assert_eq!(unescape("caf%c3%a9|%25").unwrap(), "café|%");
+        let text = format!("{HEADER}\nT\t0\tcaf%C3%A9\tcaf%C3%A9s\n");
+        let cat = read_catalog(text.as_bytes()).unwrap();
+        let t = cat.type_named("café").unwrap();
+        assert_eq!(cat.type_node(t).name.len(), 5);
+    }
+
+    #[test]
+    fn escapes_need_two_ascii_hex_digits() {
+        for bad in ["%+1", "%1+", "%-1", "% 1", "%g0", "%0x", "%1", "%"] {
+            assert!(unescape(bad).is_err(), "{bad}");
+            let text = format!("{HEADER}\nT\t0\t{bad}\tx\n");
+            let res = read_catalog(text.as_bytes());
+            assert!(matches!(res, Err(CatalogError::Parse { line: 2, .. })), "{bad}: {res:?}");
+        }
+    }
+
+    #[test]
+    fn escapes_that_are_not_utf8_are_parse_errors() {
+        for bad in ["%C3", "caf%C3", "%FF", "%C3%28", "%E2%82"] {
+            assert!(unescape(bad).is_err(), "{bad}");
+            let text = format!("{HEADER}\nT\t0\tt\tx\nE\t0\t{bad}\ty\n");
+            let res = read_catalog(text.as_bytes());
+            assert!(matches!(res, Err(CatalogError::Parse { line: 3, .. })), "{bad}: {res:?}");
+        }
     }
 
     proptest! {

@@ -10,8 +10,33 @@
 //! Messages are normalized (max subtracted in max-product; log-sum-exp in
 //! sum-product) for numerical stability. Damping is supported but defaults
 //! to off, matching the paper.
+//!
+//! **Layout.** Each call lays the messages out once: one flat `Vec<f64>`
+//! per direction (factor→variable, variable→factor), with an offset per
+//! (factor, slot), and for each variable its slots in `factors_of` order.
+//! A sweep only indexes: no nested vectors, no slot search.
+//!
+//! **Row kernel.** A factor→variable update walks the factor's table a
+//! row at a time (a row fixes every label but the last). The incoming
+//! messages of the fixed slots, and their accumulators, stay in locals for
+//! the row; the last slot's accumulators update element-wise. One generic
+//! function serves every factor, instantiated per arity (1 to
+//! [`MAX_ARITY`]) and per semiring.
+//!
+//! **Bit for bit.** The rewrite keeps every float operation of the
+//! entry-at-a-time loop it replaced: each entry sums
+//! `((table + m0) + m1) + m2` in slot order and subtracts its own slot's
+//! message, entries with a −∞ total are skipped, and every accumulator
+//! folds its values in row-major order (max as `if w > acc`). Loading a
+//! prefix accumulator at the start of a row and storing it at the end
+//! changes no fold order. So beliefs, assignments and sweep counts are
+//! identical (`tests/bp_equivalence.rs` checks against the old loop). A
+//! factored φ4 update, or summing the prefix messages once per row, would
+//! reassociate those sums and is not identical.
 
-use crate::graph::{FactorGraph, VarId};
+use std::ops::Range;
+
+use crate::graph::{FactorGraph, VarId, MAX_ARITY};
 
 /// Message combination semiring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,21 +104,13 @@ impl BpResult {
 /// factor groups in order φ3, φ5, φ4).
 pub fn propagate(g: &FactorGraph, opts: &BpOptions) -> BpResult {
     let nf = g.num_factors();
-    // Messages live per (factor, slot): one vector over the slot-variable's
-    // domain in each direction.
-    let mut msg_f2v: Vec<Vec<Vec<f64>>> = Vec::with_capacity(nf);
-    let mut msg_v2f: Vec<Vec<Vec<f64>>> = Vec::with_capacity(nf);
-    for f in g.factors() {
-        let mk = |_: usize| -> Vec<Vec<f64>> {
-            f.vars.iter().map(|&v| vec![0.0; g.domain(v)]).collect()
-        };
-        msg_f2v.push(mk(0));
-        msg_v2f.push(mk(0));
-    }
+    let layout = Layout::new(g);
+    let mut msg_f2v = vec![0.0; layout.len()];
+    let mut msg_v2f = vec![0.0; layout.len()];
+    let mut acc: Vec<f64> = Vec::new();
 
     let mut iterations = 0;
     let mut converged = nf == 0;
-    let mut scratch: Vec<f64> = Vec::new();
     for _sweep in 0..opts.max_iters {
         if converged && iterations > 0 {
             break;
@@ -101,72 +118,45 @@ pub fn propagate(g: &FactorGraph, opts: &BpOptions) -> BpResult {
         iterations += 1;
         let mut max_delta = 0.0f64;
         for (fi, f) in g.factors().iter().enumerate() {
-            // (1) Refresh variable→factor messages for this factor.
-            for (slot, &v) in f.vars.iter().enumerate() {
-                let dom = g.domain(v);
-                scratch.clear();
-                scratch.extend_from_slice(g.unary(v));
-                for other in g.factors_of(v) {
-                    let oi = other.index();
+            // (1) Refresh variable→factor messages for this factor: the
+            // unary plus every other adjacent factor's message, in
+            // `factors_of` order.
+            for (s, &v) in layout.slots(fi).zip(&f.vars) {
+                let out = &mut msg_v2f[layout.msg(s)];
+                out.copy_from_slice(g.unary(v));
+                for &(oi, os) in layout.adjacent(v) {
                     if oi == fi {
                         continue;
                     }
-                    // Find this variable's slot in the other factor. A
-                    // variable may appear once per factor (enforced by the
-                    // annotator's construction).
-                    let oslot = g.factors()[oi]
-                        .vars
-                        .iter()
-                        .position(|&ov| ov == v)
-                        .expect("adjacency is consistent");
-                    let m = &msg_f2v[oi][oslot];
-                    for (s, x) in scratch.iter_mut().zip(m) {
-                        *s += x;
+                    for (x, m) in out.iter_mut().zip(&msg_f2v[layout.msg(os)]) {
+                        *x += m;
                     }
                 }
-                normalize(&mut scratch, opts.mode);
-                let out = &mut msg_v2f[fi][slot];
-                debug_assert_eq!(out.len(), dom);
-                out.copy_from_slice(&scratch);
+                normalize(out, opts.mode);
             }
             // (2) Factor→variable messages: combine table with incoming
             // messages from the *other* slots, reduce onto each slot.
-            let dims = f.table.dims();
-            let mut acc: Vec<Vec<f64>> =
-                f.vars.iter().map(|&v| vec![f64::NEG_INFINITY; g.domain(v)]).collect();
-            let in_msgs = &msg_v2f[fi];
-            f.table.for_each(|idx, tval| {
-                // Total incoming excluding each slot = total − that slot's
-                // message; compute total once.
-                let mut total = tval;
-                for (slot, &label) in idx.iter().enumerate() {
-                    total += in_msgs[slot][label];
-                }
-                if !total.is_finite() && total < 0.0 {
-                    // −∞ contributes nothing to max; for sum-product it is
-                    // exp(−∞) = 0.
-                    return;
-                }
-                for (slot, &label) in idx.iter().enumerate() {
-                    let without = total - in_msgs[slot][label];
-                    let cell = &mut acc[slot][label];
-                    match opts.mode {
-                        Mode::MaxProduct => {
-                            if without > *cell {
-                                *cell = without;
-                            }
-                        }
-                        Mode::SumProduct => {
-                            *cell = log_add(*cell, without);
-                        }
-                    }
-                }
-            });
-            let _ = dims;
-            for (slot, mut new_msg) in acc.into_iter().enumerate() {
-                normalize(&mut new_msg, opts.mode);
-                let old = &mut msg_f2v[fi][slot];
-                for (o, n) in old.iter_mut().zip(new_msg.iter_mut()) {
+            let span = layout.factor_msgs(fi);
+            acc.clear();
+            acc.resize(span.len(), f64::NEG_INFINITY);
+            let in_msgs = &msg_v2f[span.clone()];
+            let (values, dims) = (f.table.values(), f.table.dims());
+            match (dims.len(), opts.mode) {
+                (1, Mode::MaxProduct) => reduce_rows::<0, Max>(values, dims, in_msgs, &mut acc),
+                (2, Mode::MaxProduct) => reduce_rows::<1, Max>(values, dims, in_msgs, &mut acc),
+                (3, Mode::MaxProduct) => reduce_rows::<2, Max>(values, dims, in_msgs, &mut acc),
+                (1, Mode::SumProduct) => reduce_rows::<0, LogSum>(values, dims, in_msgs, &mut acc),
+                (2, Mode::SumProduct) => reduce_rows::<1, LogSum>(values, dims, in_msgs, &mut acc),
+                (3, Mode::SumProduct) => reduce_rows::<2, LogSum>(values, dims, in_msgs, &mut acc),
+                (arity, _) => unreachable!("add_factor admits arity 1..={MAX_ARITY}, not {arity}"),
+            }
+            let mut new_msgs = acc.as_mut_slice();
+            for s in layout.slots(fi) {
+                let old = &mut msg_f2v[layout.msg(s)];
+                let (new_msg, rest) = new_msgs.split_at_mut(old.len());
+                new_msgs = rest;
+                normalize(new_msg, opts.mode);
+                for (o, n) in old.iter_mut().zip(new_msg.iter()) {
                     let blended = if opts.damping > 0.0 && o.is_finite() && n.is_finite() {
                         (1.0 - opts.damping) * *n + opts.damping * *o
                     } else {
@@ -198,14 +188,8 @@ pub fn propagate(g: &FactorGraph, opts: &BpOptions) -> BpResult {
     for vi in 0..g.num_vars() {
         let v = VarId(vi as u32);
         let mut b = g.unary(v).to_vec();
-        for f in g.factors_of(v) {
-            let fi = f.index();
-            let slot = g.factors()[fi]
-                .vars
-                .iter()
-                .position(|&ov| ov == v)
-                .expect("adjacency is consistent");
-            for (x, m) in b.iter_mut().zip(&msg_f2v[fi][slot]) {
+        for &(_, s) in layout.adjacent(v) {
+            for (x, m) in b.iter_mut().zip(&msg_f2v[layout.msg(s)]) {
                 *x += m;
             }
         }
@@ -222,6 +206,178 @@ pub fn propagate(g: &FactorGraph, opts: &BpOptions) -> BpResult {
         icm_refine(g, &mut assignment);
     }
     BpResult { assignment, beliefs, iterations, converged }
+}
+
+/// Where every message lives in the two flat message buffers.
+///
+/// A *slot* is one (factor, position) pair; factor `fi`'s slots are
+/// numbered consecutively in `vars` order, so a factor's messages form one
+/// contiguous span, slot by slot. Each slot's message is a vector over its
+/// variable's domain.
+struct Layout {
+    /// Factor `fi`'s slots are `first_slot[fi]..first_slot[fi + 1]`.
+    first_slot: Vec<usize>,
+    /// Slot `s`'s message is `msg_start[s]..msg_start[s + 1]`.
+    msg_start: Vec<usize>,
+    /// Variable `v`'s `(factor, slot)` pairs, in `factors_of` order, are
+    /// `adj[adj_start[v]..adj_start[v + 1]]`. The slot is the variable's
+    /// first position in that factor.
+    adj_start: Vec<usize>,
+    adj: Vec<(usize, usize)>,
+}
+
+impl Layout {
+    fn new(g: &FactorGraph) -> Layout {
+        let mut first_slot = Vec::with_capacity(g.num_factors() + 1);
+        let mut msg_start = vec![0];
+        let mut end = 0;
+        for f in g.factors() {
+            first_slot.push(msg_start.len() - 1);
+            for &v in &f.vars {
+                end += g.domain(v);
+                msg_start.push(end);
+            }
+        }
+        first_slot.push(msg_start.len() - 1);
+        let mut adj_start = Vec::with_capacity(g.num_vars() + 1);
+        let mut adj = Vec::new();
+        for vi in 0..g.num_vars() {
+            let v = VarId(vi as u32);
+            adj_start.push(adj.len());
+            for f in g.factors_of(v) {
+                let fi = f.index();
+                let pos = g.factors()[fi]
+                    .vars
+                    .iter()
+                    .position(|&ov| ov == v)
+                    .expect("adjacency is consistent");
+                adj.push((fi, first_slot[fi] + pos));
+            }
+        }
+        adj_start.push(adj.len());
+        Layout { first_slot, msg_start, adj_start, adj }
+    }
+
+    /// Total message length in one direction.
+    fn len(&self) -> usize {
+        self.msg_start[self.msg_start.len() - 1]
+    }
+
+    /// Factor `fi`'s slots, in `vars` order.
+    fn slots(&self, fi: usize) -> Range<usize> {
+        self.first_slot[fi]..self.first_slot[fi + 1]
+    }
+
+    /// Slot `s`'s message span.
+    fn msg(&self, s: usize) -> Range<usize> {
+        self.msg_start[s]..self.msg_start[s + 1]
+    }
+
+    /// The span holding all of factor `fi`'s messages.
+    fn factor_msgs(&self, fi: usize) -> Range<usize> {
+        self.msg_start[self.first_slot[fi]]..self.msg_start[self.first_slot[fi + 1]]
+    }
+
+    /// Variable `v`'s `(factor, slot)` pairs in `factors_of` order.
+    fn adjacent(&self, v: VarId) -> &[(usize, usize)] {
+        &self.adj[self.adj_start[v.index()]..self.adj_start[v.index() + 1]]
+    }
+}
+
+/// A semiring's ⊕, folded into one accumulator cell.
+trait Fold {
+    fn fold(acc: f64, w: f64) -> f64;
+}
+
+/// Max-product: `w` replaces `acc` only if strictly greater, so a NaN `w`
+/// never wins and of two equal values the first one folded stays.
+struct Max;
+
+impl Fold for Max {
+    #[inline(always)]
+    fn fold(acc: f64, w: f64) -> f64 {
+        if w > acc {
+            w
+        } else {
+            acc
+        }
+    }
+}
+
+/// Sum-product: `ln(e^acc + e^w)`.
+struct LogSum;
+
+impl Fold for LogSum {
+    #[inline(always)]
+    fn fold(acc: f64, w: f64) -> f64 {
+        log_add(acc, w)
+    }
+}
+
+/// Reduces one factor table onto each of its slots: for every entry,
+/// `total = table + Σ incoming` (summed in slot order), and each slot's
+/// accumulator at its label folds `total − incoming[slot]`. Entries whose
+/// total is −∞ are skipped (they add nothing to a max, and `e^−∞ = 0` to a
+/// sum).
+///
+/// `P` is the arity minus one. The table is walked a row at a time (a row
+/// fixes the `P` prefix labels and runs over the last slot's domain), so the
+/// prefix messages and their accumulators sit in locals for the whole row
+/// and the last slot's accumulators update element-wise. Every accumulator
+/// still folds its values in row-major order.
+///
+/// `msgs` and `acc` hold the factor's slots back to back, each as long as
+/// its dimension in `dims`.
+fn reduce_rows<const P: usize, C: Fold>(
+    values: &[f64],
+    dims: &[usize],
+    msgs: &[f64],
+    acc: &mut [f64],
+) {
+    let mut start = [0usize; P];
+    let mut dim = [0usize; P];
+    let mut off = 0;
+    for p in 0..P {
+        start[p] = off;
+        dim[p] = dims[p];
+        off += dims[p];
+    }
+    let (pre_msgs, last_msgs) = msgs.split_at(off);
+    let (pre_acc, last_acc) = acc.split_at_mut(off);
+    let mut label = [0usize; P];
+    for row in values.chunks_exact(dims[P]) {
+        let mut m = [0.0f64; P];
+        let mut a = [0.0f64; P];
+        for p in 0..P {
+            m[p] = pre_msgs[start[p] + label[p]];
+            a[p] = pre_acc[start[p] + label[p]];
+        }
+        for ((&tval, &ml), al) in row.iter().zip(last_msgs).zip(last_acc.iter_mut()) {
+            let mut total = tval;
+            for mp in m {
+                total += mp;
+            }
+            total += ml;
+            if total == f64::NEG_INFINITY {
+                continue;
+            }
+            for p in 0..P {
+                a[p] = C::fold(a[p], total - m[p]);
+            }
+            *al = C::fold(*al, total - ml);
+        }
+        for p in 0..P {
+            pre_acc[start[p] + label[p]] = a[p];
+        }
+        // Next row: advance the prefix labels, last prefix fastest.
+        for p in (0..P).rev() {
+            label[p] += 1;
+            if label[p] < dim[p] {
+                break;
+            }
+            label[p] = 0;
+        }
+    }
 }
 
 /// Iterated-conditional-modes refinement: greedily re-optimizes one

@@ -9,6 +9,13 @@
 
 use crate::table::LogTable;
 
+/// The most variables one factor may couple. The paper's model needs no
+/// more: φ3 couples a column type with a cell entity, φ4 a relation with
+/// two column types and φ5 a relation with two cell entities (φ1 and φ2
+/// are unaries). Message passing instantiates its row kernel once for
+/// each arity from 1 to this bound.
+pub const MAX_ARITY: usize = 3;
+
 /// Identifier of a variable node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub u32);
@@ -105,9 +112,15 @@ impl FactorGraph {
     /// Adds a factor over `vars` with a row-major log-potential table.
     ///
     /// `log_values.len()` must equal the product of the variables' domains.
-    /// Dimension order follows `vars` (last variable fastest).
+    /// Dimension order follows `vars` (last variable fastest). A factor
+    /// couples 1 to [`MAX_ARITY`] variables: the paper's φ3 has arity 2, φ4
+    /// and φ5 arity 3.
     pub fn add_factor(&mut self, vars: &[VarId], log_values: Vec<f64>) -> FactorId {
-        assert!(!vars.is_empty(), "factors must couple at least one variable");
+        assert!(
+            (1..=MAX_ARITY).contains(&vars.len()),
+            "factors couple 1 to {MAX_ARITY} variables, not {}",
+            vars.len()
+        );
         let dims: Vec<usize> = vars.iter().map(|&v| self.domain(v)).collect();
         let table = LogTable::new(dims, log_values);
         let id = FactorId(self.factors.len() as u32);

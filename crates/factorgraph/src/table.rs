@@ -61,22 +61,6 @@ impl LogTable {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
-
-    /// Iterates `(multi_index, value)` in row-major order, reusing one
-    /// index buffer via the callback.
-    pub fn for_each(&self, mut f: impl FnMut(&[usize], f64)) {
-        let mut idx = vec![0usize; self.dims.len()];
-        for &v in &self.values {
-            f(&idx, v);
-            for d in (0..self.dims.len()).rev() {
-                idx[d] += 1;
-                if idx[d] < self.dims[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,17 +74,6 @@ mod tests {
         assert_eq!(t.get(&[0, 2]), 2.0);
         assert_eq!(t.get(&[1, 0]), 3.0);
         assert_eq!(t.get(&[1, 2]), 5.0);
-    }
-
-    #[test]
-    fn for_each_visits_in_order() {
-        let t = LogTable::new(vec![2, 2], vec![0.0, 1.0, 2.0, 3.0]);
-        let mut seen = Vec::new();
-        t.for_each(|idx, v| seen.push((idx.to_vec(), v)));
-        assert_eq!(
-            seen,
-            vec![(vec![0, 0], 0.0), (vec![0, 1], 1.0), (vec![1, 0], 2.0), (vec![1, 1], 3.0),]
-        );
     }
 
     #[test]

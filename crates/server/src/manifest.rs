@@ -239,6 +239,8 @@ pub fn cleanup_stale_tmp(dir: &Path) -> Vec<PathBuf> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -342,5 +344,69 @@ mod tests {
         assert!(!dir.join("MANIFEST.tmp.999").exists());
         assert!(cleanup_stale_tmp(&dir).is_empty(), "idempotent");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every input must parse or fail as `ServeError::Manifest`.
+    fn parses_or_fails_typed(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let text = String::from_utf8_lossy(bytes);
+        let res = Manifest::parse(&text);
+        prop_assert!(matches!(res, Ok(_) | Err(ServeError::Manifest(_))), "{res:?} for {text:?}");
+        Ok(())
+    }
+
+    const VALID_V1: &str = "webtable-manifest v1\ngeneration 2\ncatalog catalog.tsv\n\
+        index index.snap\ntables tables-g2.json\n";
+    const VALID_V2: &str = "webtable-manifest v2\n# promoted\ngeneration 3\n\
+        catalog catalog-g3.tsv\nsegment index.snap\nsegment segment-g3.snap\n\
+        tables tables-g3.json\n";
+
+    /// A non-empty path with no whitespace, so `render` → `parse` keeps it.
+    fn arb_path() -> impl Strategy<Value = PathBuf> {
+        "\\PC{1,16}".prop_map(|s| {
+            PathBuf::from(
+                s.chars().map(|c| if c.is_whitespace() { '_' } else { c }).collect::<String>(),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_parse_or_fail_typed(
+            bytes in proptest::collection::vec(any::<u8>(), 0..1024),
+        ) {
+            parses_or_fails_typed(&bytes)?;
+        }
+
+        #[test]
+        fn mutated_manifests_parse_or_fail_typed(
+            v2 in any::<bool>(),
+            inserts in proptest::collection::vec((any::<usize>(), 0usize..13), 0..4),
+            flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+            keep in any::<usize>(),
+        ) {
+            let mut bytes = if v2 { VALID_V2 } else { VALID_V1 }.as_bytes().to_vec();
+            for (at, which) in inserts {
+                bytes.insert(at % (bytes.len() + 1), b" \n#0123456789"[which]);
+            }
+            for (at, mask) in flips {
+                let i = at % bytes.len();
+                bytes[i] ^= mask;
+            }
+            bytes.truncate(keep % (bytes.len() + 1));
+            parses_or_fails_typed(&bytes)?;
+        }
+
+        #[test]
+        fn render_then_parse_round_trips(
+            generation in any::<u64>(),
+            catalog in arb_path(),
+            segments in proptest::collection::vec(arb_path(), 1..9),
+            tables in arb_path(),
+        ) {
+            let m = Manifest { generation, catalog, segments, tables };
+            prop_assert_eq!(Manifest::parse(&m.render()).ok(), Some(m));
+        }
     }
 }

@@ -43,7 +43,7 @@ use webtable_core::{
 };
 use webtable_factorgraph::{propagate, BpOptions, FactorGraph};
 use webtable_search::wire::{decode_answers, decode_query, encode_answers, encode_query};
-use webtable_search::{build_workload, EntityQuery, Query, SearchEngine, SearchIndex};
+use webtable_search::{build_workload, EntityQuery, JoinQuery, Query, SearchEngine, SearchIndex};
 use webtable_tables::{NoiseConfig, Table, TableGenerator, TruthMask};
 use webtable_text::{sim, LemmaIndex, ProbeScratch, SegmentedIndex, SimEngineBuilder};
 
@@ -556,7 +556,8 @@ fn main() {
     });
 
     // --- search/*: §5 engine construction and per-query latency of the
-    //     three processors (Fig. 9) over 50 annotated tables ---
+    //     three processors (Fig. 9) and the other four query kinds over
+    //     50 annotated tables ---
     let mut generator = TableGenerator::new(&f.world, NoiseConfig::web(), TruthMask::full(), 31);
     let mut search_tables = Vec::new();
     for b in f.world.relations.figure13() {
@@ -581,6 +582,77 @@ fn main() {
                 Some(use_relations) => Query::Typed { query, use_relations },
             })
             .collect();
+        record(&mut records, samples, "search/query", bench, || {
+            for query in &queries {
+                black_box(search.search(black_box(query)));
+            }
+        });
+    }
+    // The other four kinds of `/v1/search`, over the same engine: joins
+    // whose second hop is a Fig. 9 relation (only `adaptedFrom ∧ wrote`
+    // is one), given its first five linked right entities; keyword
+    // retrieval by each table's context and first row; population seeded
+    // with the first two linked entities of a table's column; and
+    // related-entity lookups.
+    let oracle = &f.world.oracle;
+    let mut joins = Vec::new();
+    for r2 in f.world.relations.figure13() {
+        let mut given: Vec<EntityId> = oracle
+            .relation(r2)
+            .tuples
+            .iter()
+            .map(|&(_, e)| e)
+            .filter(|&e| !search.index().cells_of_entity(e).is_empty())
+            .collect();
+        given.sort_unstable();
+        given.dedup();
+        for r1 in oracle.relation_ids() {
+            if oracle.is_subtype(oracle.relation(r1).right_type, oracle.relation(r2).left_type) {
+                for &e3 in given.iter().take(5) {
+                    joins.push(Query::Join { query: JoinQuery { r1, r2, e3 }, mid_k: 10 });
+                }
+            }
+        }
+    }
+    let search_corpus = search.corpus();
+    let tables_queries: Vec<Query> = search_corpus
+        .tables
+        .iter()
+        .map(|t| Query::Tables {
+            keywords: format!("{} {}", t.context, t.rows[0].join(" ")),
+            k: 10,
+        })
+        .collect();
+    let seed_sets: Vec<Vec<EntityId>> = search_corpus
+        .annotations
+        .iter()
+        .filter_map(|ann| {
+            let mut linked: Vec<(usize, usize, EntityId)> =
+                ann.cell_entities.iter().filter_map(|(&(r, c), &e)| Some((c, r, e?))).collect();
+            linked.sort_unstable();
+            let col = linked.first()?.0;
+            let seeds: Vec<EntityId> =
+                linked.iter().filter(|l| l.0 == col).map(|l| l.2).take(2).collect();
+            (seeds.len() == 2).then_some(seeds)
+        })
+        .collect();
+    let related: Vec<Query> = entity_queries
+        .iter()
+        .map(|q| Query::Related { entity: q.e2, relation: q.relation, k: 10 })
+        .collect();
+    for (bench, queries) in [
+        ("join", joins),
+        ("tables", tables_queries),
+        (
+            "populate_rows",
+            seed_sets.iter().map(|s| Query::PopulateRows { seeds: s.clone(), k: 10 }).collect(),
+        ),
+        (
+            "populate_columns",
+            seed_sets.iter().map(|s| Query::PopulateColumns { seeds: s.clone(), k: 10 }).collect(),
+        ),
+        ("related", related),
+    ] {
         record(&mut records, samples, "search/query", bench, || {
             for query in &queries {
                 black_box(search.search(black_box(query)));

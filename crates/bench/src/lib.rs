@@ -10,7 +10,7 @@
 //! | `candidates/*` | §4.3 candidate generation / lemma-index probes |
 //! | `bp/*` | §4.4.2 message passing (the <1%-of-runtime claim, Fig. 7) |
 //! | `annotate/*` | Fig. 7 per-table cost: collective vs baselines, and per phase |
-//! | `search/*` | §5/Fig. 9 query latency: baseline vs typed processors |
+//! | `search/*` | §5/Fig. 9 query latency: baseline vs typed processors, and the other `/v1/search` kinds |
 //! | `catalog` | §4.2.3 catalog probes: `dist`, extents, relatedness |
 
 pub mod load;

@@ -3,9 +3,10 @@
 //!
 //! These are the augmentation tasks the Zhang & Balog survey names as the
 //! downstream payoff of table annotation. All three processors run over
-//! the cell-level [`SearchIndex`] plus the per-table annotations — no
-//! extra index is needed, because `cells_of_entity` / `pairs_of_relation`
-//! already give the entity→cell and relation→column-pair maps.
+//! the cell-level [`SearchIndex`] — no extra index is needed, because
+//! `cells_of_entity` / `pairs_of_relation` already give the entity→cell
+//! and relation→column-pair maps, and the index's dense per-table view
+//! gives each cell's entity and each column's type.
 //!
 //! * [`populate_rows`] — given seed entities from a partial table's key
 //!   column, find corpus columns containing the seeds and vote for the
@@ -16,15 +17,23 @@
 //!   keyed by normalized header label plus annotated type.
 //! * [`related_search`] — answer "what is related to E via R?" directly
 //!   over relation-annotated column pairs, in either orientation.
-
-use std::collections::{HashMap, HashSet};
+//!
+//! Each starts from its most selective postings: the seeds' cells, or the
+//! query entity's. The population processors collect the seed columns as
+//! a sorted `(table, column, distinct seeds)` list and sum every
+//! candidate's evidence in (table, column, row) order, so a score does
+//! not depend on hash order (with three seeds, supports of 1/3 and 2/3
+//! sum to different bits in different orders). [`related_search`] visits
+//! only the entity's tables, finds each one's relation pairs by binary
+//! search, and adds its votes in the order a scan of every pair gave.
 
 use webtable_catalog::{Catalog, EntityId, RelationId, TypeId};
-use webtable_text::normalize;
 
 use crate::corpus::AnnotatedCorpus;
 use crate::index::SearchIndex;
-use crate::query::{rank_bounded, AnswerKey, RankedAnswer};
+use crate::query::{
+    by_column, rank_bounded, run_of, runs, sum_in_order, vote_row, AnswerKey, RankedAnswer,
+};
 
 /// Multiplier applied to a row-population candidate's co-occurrence score
 /// when the candidate is an instance of the seed columns' dominant type.
@@ -41,57 +50,42 @@ const TYPE_COMPAT_BOOST: f64 = 1.5;
 pub fn populate_rows(
     catalog: &Catalog,
     index: &SearchIndex,
-    corpus: &AnnotatedCorpus,
     seeds: &[EntityId],
     k: usize,
 ) -> Vec<RankedAnswer> {
     if k == 0 || seeds.is_empty() {
         return Vec::new();
     }
-    let seed_set: HashSet<EntityId> = seeds.iter().copied().collect();
-
-    // Columns holding at least one seed, with the number of *distinct*
-    // seeds each holds (the column's support).
-    let mut seed_cols: HashMap<(u32, u16), HashSet<EntityId>> = HashMap::new();
-    for &seed in &seed_set {
-        for &(t, _r, c) in index.cells_of_entity(seed) {
-            seed_cols.entry((t, c)).or_default().insert(seed);
-        }
-    }
+    let seed_set = distinct(seeds);
+    let seed_cols = seed_columns(index, &seed_set);
     if seed_cols.is_empty() {
         return Vec::new();
     }
 
     // Dominant annotated type over the seed columns (most supporting
     // columns; smaller TypeId on ties, for determinism).
-    let mut type_votes: HashMap<TypeId, u32> = HashMap::new();
-    for (t, c) in seed_cols.keys() {
-        let ann = &corpus.annotations[*t as usize];
-        if let Some(Some(ty)) = ann.column_types.get(&(*c as usize)) {
-            *type_votes.entry(*ty).or_insert(0) += 1;
-        }
-    }
-    let dominant: Option<TypeId> =
-        type_votes.into_iter().max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0))).map(|(ty, _)| ty);
+    let mut types: Vec<TypeId> =
+        seed_cols.iter().filter_map(|&(t, c, _)| index.column_type(t, c)).collect();
+    types.sort_unstable();
+    let dominant: Option<TypeId> = runs(&types, |&ty| ty)
+        .max_by(|a, b| a.len().cmp(&b.len()).then(b[0].cmp(&a[0])))
+        .map(|run| run[0]);
 
     // Vote: every non-seed entity in a seed column earns that column's
     // support fraction.
     let n_seeds = seed_set.len() as f64;
-    let mut evidence: HashMap<EntityId, f64> = HashMap::new();
-    for ((t, c), hits) in &seed_cols {
-        let support = hits.len() as f64 / n_seeds;
-        let table = &corpus.tables[*t as usize];
-        let ann = &corpus.annotations[*t as usize];
-        for r in 0..table.num_rows() {
-            let Some(Some(e)) = ann.cell_entities.get(&(r, *c as usize)) else { continue };
-            if !seed_set.contains(e) {
-                *evidence.entry(*e).or_insert(0.0) += support;
+    let mut evidence: Vec<(EntityId, f64)> = Vec::new();
+    for &(t, c, hits) in &seed_cols {
+        let support = hits as f64 / n_seeds;
+        for e in index.column_entities(t, c) {
+            if seed_set.binary_search(&e).is_err() {
+                evidence.push((e, support));
             }
         }
     }
 
     rank_bounded(
-        evidence.into_iter().map(|(e, mut score)| {
+        sum_in_order(evidence).into_iter().map(|(e, mut score)| {
             if let Some(ty) = dominant {
                 if ty.index() < catalog.num_types()
                     && e.index() < catalog.num_entities()
@@ -109,8 +103,8 @@ pub fn populate_rows(
 /// Column population: rank candidate new columns for a table whose key
 /// column holds `seeds`. Tables containing seeds vote for their *other*
 /// columns; each suggestion is keyed by normalized header label (falling
-/// back to the annotated type's name when the column is headerless) plus
-/// the column-type annotation.
+/// back to the annotated type's name in the catalog the index was built
+/// with, when the column is headerless) plus the column-type annotation.
 ///
 /// Returns the top `k` as [`AnswerKey::Column`] answers.
 pub fn populate_columns(
@@ -123,45 +117,53 @@ pub fn populate_columns(
     if k == 0 || seeds.is_empty() {
         return Vec::new();
     }
-    let seed_set: HashSet<EntityId> = seeds.iter().copied().collect();
-
-    // Distinct seeds per (table, column).
-    let mut seed_cols: HashMap<(u32, u16), HashSet<EntityId>> = HashMap::new();
-    for &seed in &seed_set {
-        for &(t, _r, c) in index.cells_of_entity(seed) {
-            seed_cols.entry((t, c)).or_default().insert(seed);
-        }
-    }
-
+    let seed_set = distinct(seeds);
     let n_seeds = seed_set.len() as f64;
-    let mut evidence: HashMap<AnswerKey, f64> = HashMap::new();
-    for ((t, c), hits) in &seed_cols {
-        let support = hits.len() as f64 / n_seeds;
-        let table = &corpus.tables[*t as usize];
-        let ann = &corpus.annotations[*t as usize];
-        for c2 in 0..table.num_cols() {
-            if c2 == *c as usize {
+    // Evidence keyed by (label id, type): ids stand for distinct labels,
+    // so the sums are the same as under the label strings.
+    let mut evidence: Vec<((u32, Option<TypeId>), f64)> = Vec::new();
+    for (t, c, hits) in seed_columns(index, &seed_set) {
+        let support = hits as f64 / n_seeds;
+        for c2 in 0..corpus.tables[t as usize].num_cols() as u16 {
+            if c2 == c {
                 continue;
             }
-            let ty = ann.column_types.get(&c2).copied().flatten().filter(|ty| {
+            let Some(label) = index.column_label(t, c2) else { continue };
+            let ty = index.column_type(t, c2).filter(|ty| {
                 // Foreign annotations (ids outside this catalog) are kept
                 // out of suggestions — their names can't be resolved.
                 ty.index() < catalog.num_types()
             });
-            let label = match table.header(c2) {
-                Some(h) => normalize(h),
-                None => match ty {
-                    Some(ty) => normalize(catalog.type_name(ty)),
-                    None => continue, // headerless and untyped: nothing to suggest
-                },
-            };
-            if label.is_empty() {
-                continue;
-            }
-            *evidence.entry(AnswerKey::Column { label, ty }).or_insert(0.0) += support;
+            evidence.push(((label, ty), support));
         }
     }
-    rank_bounded(evidence, k)
+    rank_bounded(
+        sum_in_order(evidence).into_iter().map(|((label, ty), score)| {
+            (AnswerKey::Column { label: index.label(label).to_owned(), ty }, score)
+        }),
+        k,
+    )
+}
+
+/// The seeds, sorted and without repeats.
+fn distinct(seeds: &[EntityId]) -> Vec<EntityId> {
+    let mut out = seeds.to_vec();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Columns holding at least one seed, as `(table, column, number of
+/// distinct seeds it holds)` (the column's support), in (table, column)
+/// order.
+fn seed_columns(index: &SearchIndex, seed_set: &[EntityId]) -> Vec<(u32, u16, usize)> {
+    let mut hits: Vec<(u32, u16, EntityId)> = seed_set
+        .iter()
+        .flat_map(|&seed| index.cells_of_entity(seed).iter().map(move |&(t, _, c)| (t, c, seed)))
+        .collect();
+    hits.sort_unstable();
+    hits.dedup();
+    runs(&hits, |&(t, c, _)| (t, c)).map(|run| (run[0].0, run[0].1, run.len())).collect()
 }
 
 /// Entity-relationship query: "what is related to `entity` via
@@ -181,45 +183,25 @@ pub fn related_search(
     if k == 0 {
         return Vec::new();
     }
-    // Rows where some cell is annotated with the query entity, per
-    // (table, column).
-    let e_cells: HashMap<(u32, u16), Vec<u32>> = {
-        let mut m: HashMap<(u32, u16), Vec<u32>> = HashMap::new();
-        for &(t, r, c) in index.cells_of_entity(entity) {
-            m.entry((t, c)).or_default().push(r);
+    let pairs = index.pairs_of_relation(relation);
+    let mut evidence: Vec<(AnswerKey, f64)> = Vec::new();
+    for cells in runs(&by_column(index.cells_of_entity(entity)), |&(t, _, _)| t) {
+        let t = cells[0].0;
+        // Rows where column `given` holds the entity vote for the cell in
+        // `answer_col`.
+        let mut collect = |given: u16, answer_col: u16| {
+            for &(_, _, r) in run_of(cells, given, |&(_, c, _)| c) {
+                vote_row(index, corpus, t, r, answer_col, &mut evidence);
+            }
+        };
+        for &(_, c_left, c_right) in run_of(pairs, t, |&(t, _, _)| t) {
+            // entity on the left → answers from the right column, and
+            // vice versa ("related to" is asked in either direction).
+            collect(c_left, c_right);
+            collect(c_right, c_left);
         }
-        m
-    };
-
-    let mut evidence: HashMap<AnswerKey, f64> = HashMap::new();
-    let mut collect = |given: (u32, u16), answer_col: u16| {
-        let Some(rows) = e_cells.get(&given) else { return };
-        let t = given.0;
-        let table = &corpus.tables[t as usize];
-        let ann = &corpus.annotations[t as usize];
-        for &r in rows {
-            let key = (r as usize, answer_col as usize);
-            let answer = match ann.cell_entities.get(&key).copied().flatten() {
-                Some(e) => AnswerKey::Entity(e),
-                None => {
-                    let text = table.cell(r as usize, answer_col as usize).trim().to_lowercase();
-                    if text.is_empty() {
-                        continue;
-                    }
-                    AnswerKey::Text(text)
-                }
-            };
-            let conf = ann.cell_confidence.get(&key).copied().unwrap_or(0.0);
-            *evidence.entry(answer).or_insert(0.0) += 1.0 + conf.min(2.0);
-        }
-    };
-    for &(t, c_left, c_right) in index.pairs_of_relation(relation) {
-        // entity on the left → answers from the right column, and vice
-        // versa ("related to" is asked in either direction).
-        collect((t, c_left), c_right);
-        collect((t, c_right), c_left);
     }
-    rank_bounded(evidence, k)
+    rank_bounded(sum_in_order(evidence), k)
 }
 
 #[cfg(test)]
@@ -263,20 +245,20 @@ mod tests {
 
     #[test]
     fn row_population_suggests_unseen_movies() {
-        let (w, corpus, index) = searchable_world();
+        let (w, _, index) = searchable_world();
         let movies = annotated_movies(&w, &index);
         assert!(movies.len() >= 3, "world too small for the test: {movies:?}");
         let seeds = &movies[..2];
-        let res = populate_rows(&w.catalog, &index, &corpus, seeds, 10);
+        let res = populate_rows(&w.catalog, &index, seeds, 10);
         assert!(!res.is_empty());
         for a in &res {
             let AnswerKey::Entity(e) = a.key else { panic!("row answers are entities") };
             assert!(!seeds.contains(&e), "seeds must not be suggested back");
         }
         // Deterministic.
-        assert_eq!(res, populate_rows(&w.catalog, &index, &corpus, seeds, 10));
-        assert!(populate_rows(&w.catalog, &index, &corpus, &[], 10).is_empty());
-        assert!(populate_rows(&w.catalog, &index, &corpus, seeds, 0).is_empty());
+        assert_eq!(res, populate_rows(&w.catalog, &index, seeds, 10));
+        assert!(populate_rows(&w.catalog, &index, &[], 10).is_empty());
+        assert!(populate_rows(&w.catalog, &index, seeds, 0).is_empty());
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl SearchEngine {
             }
             Query::Tables { ref keywords, k } => self.tables.search(keywords, k),
             Query::PopulateRows { ref seeds, k } => {
-                populate_rows(&self.catalog, &self.index, &self.corpus, seeds, k)
+                populate_rows(&self.catalog, &self.index, seeds, k)
             }
             Query::PopulateColumns { ref seeds, k } => {
                 populate_columns(&self.catalog, &self.index, &self.corpus, seeds, k)

@@ -11,14 +11,23 @@
 //!   to column-type annotations;
 //! * `Query::Typed` with `use_relations = true` — full Figure 4, using
 //!   type and relation annotations and entity-annotated cells.
-
-use std::collections::{BTreeSet, HashMap};
+//!
+//! The typed processor works outward from `E2`'s cells, as Figure 4 does:
+//! it sorts them by (table, column, row), and for each of their tables in
+//! ascending order finds that table's `T1`/`T2` columns (or its `R` pairs)
+//! by binary search on the table id, so its cost follows how often `E2`
+//! occurs, not how many columns carry `T1` or `T2`. The baseline merges
+//! its two header-matched column lists on the table id. Both visit
+//! (table, answer column, given column, row) in ascending order — the
+//! order the sorted triples of a full scan gave — and every answer sums
+//! its evidence in that visiting order, so scores are the same bits
+//! whichever plan found the rows.
 
 use webtable_catalog::{Catalog, EntityId, RelationId, TypeId};
 use webtable_text::{to_sorted_set, tokenize};
 
 use crate::corpus::AnnotatedCorpus;
-use crate::index::{ColRef, SearchIndex};
+use crate::index::{CellRef, ColRef, SearchIndex};
 
 /// A select-project entity query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +72,8 @@ pub struct RankedAnswer {
     pub score: f64,
 }
 
-/// Ranks an evidence map deterministically (score desc, key asc).
-fn rank(evidence: HashMap<AnswerKey, f64>) -> Vec<RankedAnswer> {
+/// Ranks summed evidence deterministically (score desc, key asc).
+fn rank(evidence: Vec<(AnswerKey, f64)>) -> Vec<RankedAnswer> {
     rank_bounded(evidence, usize::MAX)
 }
 
@@ -100,46 +109,61 @@ pub(crate) fn baseline_search_impl(
         tokenize(catalog.entity_name(q.e2)).into_iter().map(|t| hash_token(&t)).collect(),
     );
 
-    // Column sets whose headers match the type strings, in key order so
-    // every answer's evidence below is summed in one fixed order.
-    let header_cols = |text: &str| -> BTreeSet<ColRef> {
-        tokenize(text).iter().flat_map(|tok| index.header_cols_with_token(tok)).copied().collect()
+    // Columns whose headers match the type strings, sorted and distinct.
+    let header_cols = |text: &str| -> Vec<ColRef> {
+        let mut cols: Vec<ColRef> = tokenize(text)
+            .iter()
+            .flat_map(|tok| index.header_cols_with_token(tok))
+            .copied()
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        cols
     };
     let t1_cols = header_cols(t1_str);
     let t2_cols = header_cols(t2_str);
-    // Context matches for the relation string (a soft boost).
-    let mut ctx_tables: HashMap<u32, usize> = HashMap::new();
-    for tok in tokenize(r_str) {
-        for &t in index.tables_with_context_token(&tok) {
-            *ctx_tables.entry(t).or_insert(0) += 1;
-        }
-    }
+    // Context matches for the relation string (a soft boost): a table
+    // occurs once per matching token.
+    let mut ctx_tables: Vec<u32> = tokenize(r_str)
+        .iter()
+        .flat_map(|tok| index.tables_with_context_token(tok))
+        .copied()
+        .collect();
+    ctx_tables.sort_unstable();
 
-    let mut evidence: HashMap<AnswerKey, f64> = HashMap::new();
-    for &(t, c1) in &t1_cols {
-        for &(t2, c2) in &t2_cols {
-            if t != t2 || c1 == c2 {
-                continue;
-            }
-            let table = &corpus.tables[t as usize];
-            let boost = 1.0 + 0.5 * *ctx_tables.get(&t).unwrap_or(&0) as f64;
-            for row in &table.rows {
-                let cell2 = &row[c2 as usize];
-                let cell2_tokens =
-                    to_sorted_set(tokenize(cell2).into_iter().map(|s| hash_token(&s)).collect());
-                let overlap = webtable_text::sim::containment(&e2_tokens, &cell2_tokens);
-                if overlap < 0.6 {
+    let mut evidence: Vec<(AnswerKey, f64)> = Vec::new();
+    for cs1 in runs(&t1_cols, |&(t, _)| t) {
+        let t = cs1[0].0;
+        let cs2 = run_of(&t2_cols, t, |&(t, _)| t);
+        if cs2.is_empty() {
+            continue;
+        }
+        let table = &corpus.tables[t as usize];
+        let boost = 1.0 + 0.5 * run_of(&ctx_tables, t, |&t| t).len() as f64;
+        for &(_, c1) in cs1 {
+            for &(_, c2) in cs2 {
+                if c1 == c2 {
                     continue;
                 }
-                let answer_text = row[c1 as usize].trim().to_lowercase();
-                if answer_text.is_empty() {
-                    continue;
+                for row in &table.rows {
+                    let cell2 = &row[c2 as usize];
+                    let cell2_tokens = to_sorted_set(
+                        tokenize(cell2).into_iter().map(|s| hash_token(&s)).collect(),
+                    );
+                    let overlap = webtable_text::sim::containment(&e2_tokens, &cell2_tokens);
+                    if overlap < 0.6 {
+                        continue;
+                    }
+                    let answer_text = row[c1 as usize].trim().to_lowercase();
+                    if answer_text.is_empty() {
+                        continue;
+                    }
+                    evidence.push((AnswerKey::Text(answer_text), boost * overlap));
                 }
-                *evidence.entry(AnswerKey::Text(answer_text)).or_insert(0.0) += boost * overlap;
             }
         }
     }
-    rank(evidence)
+    rank(sum_in_order(evidence))
 }
 
 /// Figure 4: the annotation-aware processor. With `use_relations = false`,
@@ -154,68 +178,107 @@ pub(crate) fn typed_search_impl(
     q: &EntityQuery,
     use_relations: bool,
 ) -> Vec<RankedAnswer> {
-    // Qualifying (table, c1, c2) triples, c1 = answer column.
-    let mut triples: Vec<(u32, u16, u16)> = Vec::new();
-    if use_relations {
-        for &(t, c_left, c_right) in index.pairs_of_relation(q.relation) {
-            triples.push((t, c_left, c_right));
-        }
-    } else {
-        let t1_cols = index.columns_of_type(q.t1);
-        let t2_cols = index.columns_of_type(q.t2);
-        let mut by_table: HashMap<u32, (Vec<u16>, Vec<u16>)> = HashMap::new();
-        for &(t, c) in t1_cols {
-            by_table.entry(t).or_default().0.push(c);
-        }
-        for &(t, c) in t2_cols {
-            by_table.entry(t).or_default().1.push(c);
-        }
-        for (t, (cs1, cs2)) in by_table {
-            for &c1 in &cs1 {
-                for &c2 in &cs2 {
+    let t1_cols = index.columns_of_type(q.t1);
+    let t2_cols = index.columns_of_type(q.t2);
+    let pairs = index.pairs_of_relation(q.relation);
+    let mut evidence: Vec<(AnswerKey, f64)> = Vec::new();
+    for cells in runs(&by_column(index.cells_of_entity(q.e2)), |&(t, _, _)| t) {
+        let t = cells[0].0;
+        // Rows where the given column c2 holds E2, for answer column c1.
+        let mut visit = |c1: u16, c2: u16| {
+            for &(_, _, r) in run_of(cells, c2, |&(_, c, _)| c) {
+                vote_row(index, corpus, t, r, c1, &mut evidence);
+            }
+        };
+        if use_relations {
+            for &(_, c1, c2) in run_of(pairs, t, |&(t, _, _)| t) {
+                visit(c1, c2);
+            }
+        } else {
+            let cs2 = run_of(t2_cols, t, |&(t, _)| t);
+            for &(_, c1) in run_of(t1_cols, t, |&(t, _)| t) {
+                for &(_, c2) in cs2 {
                     if c1 != c2 {
-                        triples.push((t, c1, c2));
+                        visit(c1, c2);
                     }
                 }
             }
         }
-        triples.sort_unstable();
     }
+    rank(sum_in_order(evidence))
+}
 
-    // Rows where the c2 cell is annotated with E2.
-    let e2_cells: HashMap<(u32, u16), Vec<u32>> = {
-        let mut m: HashMap<(u32, u16), Vec<u32>> = HashMap::new();
-        for &(t, r, c) in index.cells_of_entity(q.e2) {
-            m.entry((t, c)).or_default().push(r);
+/// One vote for the answer cell `(r, c)` of table `t`: its entity, or its
+/// normalized text when it has none (an empty cell casts no vote),
+/// weighted by the annotator's confidence in the cell (§5: "aggregate
+/// evidence in favor of known entities"). Shared by the typed and related
+/// processors.
+pub(crate) fn vote_row(
+    index: &SearchIndex,
+    corpus: &AnnotatedCorpus,
+    t: u32,
+    r: u32,
+    c: u16,
+    evidence: &mut Vec<(AnswerKey, f64)>,
+) {
+    let answer = match index.entity_at(t, r, c) {
+        Some(e) => AnswerKey::Entity(e),
+        None => {
+            let text = corpus.tables[t as usize].cell(r as usize, c as usize).trim().to_lowercase();
+            if text.is_empty() {
+                return;
+            }
+            AnswerKey::Text(text)
         }
-        m
     };
+    let ann = &corpus.annotations[t as usize];
+    let conf = ann.cell_confidence.get(&(r as usize, c as usize)).copied().unwrap_or(0.0);
+    evidence.push((answer, 1.0 + conf.min(2.0)));
+}
 
-    let mut evidence: HashMap<AnswerKey, f64> = HashMap::new();
-    for (t, c1, c2) in triples {
-        let Some(rows) = e2_cells.get(&(t, c2)) else { continue };
-        let table = &corpus.tables[t as usize];
-        let ann = &corpus.annotations[t as usize];
-        for &r in rows {
-            let key = (r as usize, c1 as usize);
-            let answer = match ann.cell_entities.get(&key).copied().flatten() {
-                Some(e1) => AnswerKey::Entity(e1),
-                None => {
-                    let text = table.cell(r as usize, c1 as usize).trim().to_lowercase();
-                    if text.is_empty() {
-                        continue;
-                    }
-                    AnswerKey::Text(text)
-                }
-            };
-            // Evidence: one vote per supporting row, weighted by the
-            // annotator's confidence in the answer cell (§5: "aggregate
-            // evidence in favor of known entities").
-            let conf = ann.cell_confidence.get(&key).copied().unwrap_or(0.0);
-            *evidence.entry(answer).or_insert(0.0) += 1.0 + conf.min(2.0);
+/// An entity's cells as `(table, column, row)`, sorted: per table, the
+/// rows of each column ascending.
+pub(crate) fn by_column(cells: &[CellRef]) -> Vec<(u32, u16, u32)> {
+    let mut out: Vec<(u32, u16, u32)> = cells.iter().map(|&(t, r, c)| (t, c, r)).collect();
+    out.sort_unstable();
+    out
+}
+
+/// The run of a sorted slice whose `key` equals `k` — a table's postings,
+/// or a column's rows — found by binary search.
+pub(crate) fn run_of<T, K: Ord>(items: &[T], k: K, key: impl Fn(&T) -> K) -> &[T] {
+    let start = items.partition_point(|x| key(x) < k);
+    let len = items[start..].partition_point(|x| key(x) <= k);
+    &items[start..start + len]
+}
+
+/// Splits a sorted slice into its runs of equal `key`.
+pub(crate) fn runs<'a, T, K: PartialEq>(
+    mut items: &'a [T],
+    key: impl Fn(&T) -> K + 'a,
+) -> impl Iterator<Item = &'a [T]> + 'a {
+    std::iter::from_fn(move || {
+        let k = key(items.first()?);
+        let len = items.iter().position(|x| key(x) != k).unwrap_or(items.len());
+        let (run, rest) = items.split_at(len);
+        items = rest;
+        Some(run)
+    })
+}
+
+/// Sums each key's contributions, from `0.0`, in the order they were
+/// pushed (the sort is stable), so a score's bits follow the visiting
+/// order alone. Keys come out ascending.
+pub(crate) fn sum_in_order<K: Ord>(mut contributions: Vec<(K, f64)>) -> Vec<(K, f64)> {
+    contributions.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out: Vec<(K, f64)> = Vec::new();
+    for (key, v) in contributions {
+        match out.last_mut() {
+            Some((last, sum)) if *last == key => *sum += v,
+            _ => out.push((key, 0.0 + v)),
         }
     }
-    rank(evidence)
+    out
 }
 
 /// Stable 32-bit FNV-1a hash for token-set overlap computations.

@@ -19,6 +19,11 @@
 //! score for a query is the sum of its weights over the distinct query
 //! tokens. Ranking is deterministic: score descending, external table id
 //! ascending on ties.
+//!
+//! A query keeps its partial scores in a list reached through one dense
+//! slot per corpus table. The admission check reads that list, and each
+//! table's weights are added in term order, so a score's bits depend on
+//! the query alone.
 
 use std::collections::HashMap;
 
@@ -187,13 +192,16 @@ impl TableIndex {
         terms.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
         let mut remaining: f64 = terms.iter().map(|t| t.0).sum();
-        let mut scores: HashMap<u32, f64> = HashMap::new();
+        // Partial scores, dense by corpus position: `slot[ti]` is one past
+        // table `ti`'s index in `scores`, 0 while it has none.
+        let mut slot = vec![0u32; self.keys.len()];
+        let mut scores: Vec<(u32, f64)> = Vec::new();
         let mut admit_new = true;
         for &(bound, tok) in &terms {
             if admit_new && scores.len() >= k {
                 // k-th largest partial score; a fresh table can gain at
                 // most `remaining` (this term included).
-                let mut partial: Vec<f64> = scores.values().copied().collect();
+                let mut partial: Vec<f64> = scores.iter().map(|s| s.1).collect();
                 let idx = partial.len() - k;
                 partial.select_nth_unstable_by(idx, f64::total_cmp);
                 if partial[idx] > remaining {
@@ -205,10 +213,13 @@ impl TableIndex {
                 (self.offsets[tok as usize] as usize, self.offsets[tok as usize + 1] as usize);
             for i in s..e {
                 let ti = self.tables[i];
-                if let Some(acc) = scores.get_mut(&ti) {
-                    *acc += self.weights[i];
-                } else if admit_new {
-                    scores.insert(ti, self.weights[i]);
+                match slot[ti as usize] {
+                    0 if admit_new => {
+                        scores.push((ti, self.weights[i]));
+                        slot[ti as usize] = scores.len() as u32;
+                    }
+                    0 => {}
+                    n => scores[n as usize - 1].1 += self.weights[i],
                 }
             }
         }

@@ -11,8 +11,9 @@
 //! `annotate/algorithm` (collective vs the Fig. 2 and baseline
 //! annotators), `annotate/phase` (per-table model phases under the served
 //! config), `bp/*` (§4.4.2 message passing and model build), `similarity`
-//! (§4.2.1 kernels), `catalog` (§4.2.3 probes), `search/*` (§5 index build
-//! and query processors), `wire/*` (HTTP body codecs), `batch/threads` and
+//! (§4.2.1 kernels), `catalog` (§4.2.3 probes), `search/*` (§5 index
+//! builds, the corpus-file decode a generation load starts with, and the
+//! query processors), `wire/*` (HTTP body codecs), `batch/threads` and
 //! `catalog/read_catalog` (TSV parse plus the catalog's precomputation).
 //! A calibrated wall-clock timer measures every group except `serve/load`
 //! (the load harness's client latencies) and `annotate/phase` (the
@@ -43,7 +44,10 @@ use webtable_core::{
 };
 use webtable_factorgraph::{propagate, BpOptions, FactorGraph};
 use webtable_search::wire::{decode_answers, decode_query, encode_answers, encode_query};
-use webtable_search::{build_workload, EntityQuery, JoinQuery, Query, SearchEngine, SearchIndex};
+use webtable_search::{
+    build_workload, EntityQuery, JoinQuery, Query, SearchEngine, SearchIndex, TableIndex,
+};
+use webtable_server::state::{tables_from_wire, tables_to_wire};
 use webtable_tables::{NoiseConfig, Table, TableGenerator, TruthMask};
 use webtable_text::{sim, LemmaIndex, ProbeScratch, SegmentedIndex, SimEngineBuilder};
 
@@ -569,6 +573,13 @@ fn main() {
     record(&mut records, build_samples, "search/index_build", "50_tables", || {
         black_box(SearchIndex::build(black_box(search.corpus()), catalog));
     });
+    record(&mut records, build_samples, "search/table_index_build", "50_tables", || {
+        black_box(TableIndex::build(black_box(search.corpus()), catalog));
+    });
+    let corpus_file = tables_to_wire(&search.corpus().tables);
+    record(&mut records, build_samples, "search/corpus_decode", "50_tables", || {
+        black_box(tables_from_wire(black_box(&corpus_file)).expect("corpus decodes"));
+    });
     let workload = build_workload(&f.world, &f.world.relations.figure13(), 5, 77);
     let entity_queries: Vec<EntityQuery> =
         workload.per_relation.iter().flat_map(|(_, qs)| qs.iter().copied()).collect();
@@ -623,16 +634,13 @@ fn main() {
             k: 10,
         })
         .collect();
-    let seed_sets: Vec<Vec<EntityId>> = search_corpus
-        .annotations
-        .iter()
-        .filter_map(|ann| {
-            let mut linked: Vec<(usize, usize, EntityId)> =
-                ann.cell_entities.iter().filter_map(|(&(r, c), &e)| Some((c, r, e?))).collect();
-            linked.sort_unstable();
-            let col = linked.first()?.0;
-            let seeds: Vec<EntityId> =
-                linked.iter().filter(|l| l.0 == col).map(|l| l.2).take(2).collect();
+    let seed_sets: Vec<Vec<EntityId>> = (0..search_corpus.len())
+        .filter_map(|t| {
+            // The first two linked entities of the table's first column
+            // that has one.
+            let c = (0..search_corpus.tables[t].num_cols())
+                .find(|&c| search_corpus.column_entities(t, c).next().is_some())?;
+            let seeds: Vec<EntityId> = search_corpus.column_entities(t, c).take(2).collect();
             (seeds.len() == 2).then_some(seeds)
         })
         .collect();

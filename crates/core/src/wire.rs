@@ -96,6 +96,10 @@ fn schema_err(msg: impl Into<String>) -> WireError {
     WireError { msg: msg.into(), offset: 0 }
 }
 
+fn no_tables() -> WireError {
+    schema_err("corpus document has no \"tables\" array")
+}
+
 // ---------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------
@@ -326,16 +330,102 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The four hex digits of a `\u` escape (RFC 8259 §7: exactly four,
+    /// no sign).
     fn hex4(&mut self) -> Result<u32, WireError> {
         let end = self.pos + 4;
         if end > self.bytes.len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("bad unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad unicode escape"))?;
+        let v = self.bytes[self.pos..end]
+            .iter()
+            .try_fold(0, |v, &b| Some(v * 16 + (b as char).to_digit(16)?))
+            .ok_or_else(|| self.err("bad unicode escape"))?;
         self.pos = end;
         Ok(v)
+    }
+
+    /// The corpus document `{"tables": [...]}`, one table at a time: each
+    /// element of the first `tables` key is parsed at the depth it has in
+    /// the whole document, converted by [`table_from_json`] and dropped,
+    /// and every other value is parsed and dropped. So it accepts exactly
+    /// the documents `Json::parse` + `get("tables")` + `table_from_json`
+    /// accept, with the same tables, without building the document.
+    fn corpus(&mut self) -> Result<Vec<Table>, WireError> {
+        self.skip_ws();
+        if self.peek() != Some(b'{') {
+            // Whatever it is, it has no `tables` key; a syntax error in it
+            // still reads as one.
+            self.value(0)?;
+            self.end()?;
+            return Err(no_tables());
+        }
+        self.pos += 1;
+        let mut tables = None;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                if key == "tables" && tables.is_none() {
+                    tables = Some(self.table_array()?);
+                } else {
+                    self.value(1)?;
+                }
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.err("expected ',' or '}'")),
+                }
+            }
+        }
+        self.end()?;
+        tables.ok_or_else(no_tables)
+    }
+
+    /// The tables of a corpus document's `tables` value, an array at
+    /// depth 1.
+    fn table_array(&mut self) -> Result<Vec<Table>, WireError> {
+        self.skip_ws();
+        if self.peek() != Some(b'[') {
+            return Err(no_tables());
+        }
+        self.pos += 1;
+        let mut tables = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(tables);
+        }
+        loop {
+            tables.push(table_from_json(&self.value(2)?)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(tables);
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// Only whitespace may follow the document.
+    fn end(&mut self) -> Result<(), WireError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing data after document"));
+        }
+        Ok(())
     }
 }
 
@@ -344,10 +434,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, WireError> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing data after document"));
-        }
+        p.end()?;
         Ok(v)
     }
 
@@ -597,6 +684,18 @@ pub fn table_from_json(j: &Json) -> Result<Table, WireError> {
         rows.push(out);
     }
     Ok(Table::new(id, context, headers, rows))
+}
+
+/// Decodes a corpus document, `{"tables": [...]}` (the `tables` field of
+/// an annotate request), one table at a time: the whole document never
+/// exists as a [`Json`] value, only one table's element at a time. It
+/// accepts exactly the documents that [`Json::parse`], then
+/// [`Json::get`]`("tables")` as an array, then [`table_from_json`] on each
+/// element accept, and returns the same tables: the first `tables` key
+/// wins, every other key's value is still parsed, the nesting cap is the
+/// same, and trailing data is an error.
+pub fn decode_corpus(text: &str) -> Result<Vec<Table>, WireError> {
+    Parser { bytes: text.as_bytes(), pos: 0 }.corpus()
 }
 
 // ---------------------------------------------------------------------
@@ -905,6 +1004,14 @@ mod tests {
         // Depth bomb: bounded, not a stack overflow.
         let bomb = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(Json::parse(&bomb).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u 041""#, r#""\u004G""#, r#""\u-041""#, r#""\u04""#] {
+            assert!(Json::parse(bad).is_err(), "{bad} must not parse");
+        }
+        assert_eq!(Json::parse(r#""\u0041\u00e9\u00E9""#).unwrap().as_str(), Some("Aéé"));
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! produce byte-equal encodings (the server's bit-identity proof rests
 //! on this). The request decoders are total: arbitrary and mutated
 //! bodies end in `Ok` or a [`WireError`], never a panic, and nesting is
-//! bounded so a hostile body cannot overflow the stack.
+//! bounded so a hostile body cannot overflow the stack. The corpus-file
+//! decoder, which reads a document one table at a time, accepts exactly
+//! what the whole-document reading accepts, with the same tables.
 
 use proptest::prelude::*;
 use webtable_catalog::{EntityId, RelationId, TypeId};
 use webtable_core::wire::{
-    annotation_from_json, annotation_to_json, decode_response, encode_response, table_from_json,
-    table_to_json,
+    annotation_from_json, annotation_to_json, decode_corpus, decode_response, encode_response,
+    table_from_json, table_to_json,
 };
 use webtable_core::{
     AnnotateResponse, AnnotateStats, Json, PhaseTimings, TableAnnotation, WireAnnotateRequest,
@@ -236,6 +238,132 @@ fn nesting_is_bounded_at_max_depth() {
     for body in ["[".repeat(1 << 20), "{\"a\":".repeat((1 << 20) / 5)] {
         for err in decode_both(body.as_bytes()) {
             assert_eq!(err.unwrap().msg, "nesting too deep");
+        }
+    }
+}
+
+/// The whole-document reading of a corpus file that [`decode_corpus`]
+/// streams: parse it, take the first `tables` key as an array, convert
+/// each element.
+fn corpus_via_document(text: &str) -> Result<Vec<Table>, WireError> {
+    let doc = Json::parse(text)?;
+    let tables = doc
+        .get("tables")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| WireError { msg: "no \"tables\" array".into(), offset: 0 })?;
+    tables.iter().map(table_from_json).collect()
+}
+
+/// Both readings of `bytes` (as the server reads a corpus file, after a
+/// lossy UTF-8 decode) give equal tables, or both fail.
+fn corpus_readings_agree(bytes: &[u8]) -> Result<bool, TestCaseError> {
+    let text = String::from_utf8_lossy(bytes);
+    match (decode_corpus(&text), corpus_via_document(&text)) {
+        (Ok(streamed), Ok(whole)) => {
+            prop_assert_eq!(streamed, whole);
+            Ok(true)
+        }
+        (Err(_), Err(_)) => Ok(false),
+        (streamed, whole) => {
+            Err(TestCaseError::fail(format!("{text:?}: streamed {streamed:?}, whole {whole:?}")))
+        }
+    }
+}
+
+/// `n` arrays nested in one another: `[[…]]`.
+fn nested(n: usize) -> Json {
+    (1..n).fold(Json::Arr(Vec::new()), |inner, _| Json::Arr(vec![inner]))
+}
+
+#[test]
+fn corpus_documents_decode_like_the_whole_document() {
+    let table = r#"{"id":1,"context":"","headers":["a"],"rows":[["x"]]}"#;
+    let ok = [
+        format!(r#"{{"tables":[{table}]}}"#),
+        format!(" {{ \"meta\" : [1, {{}}], \"tables\" : [ {table} , {table} ] }} \n"),
+        format!(r#"{{"tables":[{table}],"tables":3}}"#),
+        format!(r#"{{"tabl\u0065s":[{table}]}}"#),
+        r#"{"tables":[]}"#.to_string(),
+    ];
+    let err = [
+        String::new(),
+        "[]".to_string(),
+        "{}".to_string(),
+        r#"{"tables":3,"tables":[]}"#.to_string(),
+        format!(r#"{{"tables":[{table}]}} x"#),
+        format!(r#"{{"tables":[{table}],"x":[}}"#),
+        r#"{"tables":[{"id":1}]}"#.to_string(),
+    ];
+    for text in &ok {
+        assert!(corpus_readings_agree(text.as_bytes()).unwrap(), "{text} must decode");
+    }
+    for text in &err {
+        assert!(!corpus_readings_agree(text.as_bytes()).unwrap(), "{text} must not decode");
+    }
+    assert_eq!(decode_corpus(&ok[1]).unwrap().len(), 2);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_corpus_bytes_decode_like_the_whole_document(
+        bytes in proptest::collection::vec(any::<u8>(), 0..1024),
+    ) {
+        corpus_readings_agree(&bytes)?;
+    }
+
+    #[test]
+    fn mutated_corpora_decode_like_the_whole_document(
+        tables in proptest::collection::vec(arb_table(), 0..4),
+        shape in 0usize..5,
+        depth in 88usize..100,
+        inserts in proptest::collection::vec((any::<usize>(), 0usize..13), 0..3),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..3),
+        truncate in any::<bool>(),
+        keep in any::<usize>(),
+    ) {
+        let mut elements: Vec<Json> = tables.iter().map(table_to_json).collect();
+        let mut pairs = Vec::new();
+        match shape {
+            // A duplicated `tables` key, after or before the real one.
+            1 => pairs.push(("tables".to_string(), Json::Num(3.0))),
+            2 => pairs.push(("tables".to_string(), Json::Arr(Vec::new()))),
+            // Nesting about the 96-level cap: under an ignored key of an
+            // element (depth 3 down), or of the document (depth 1 down).
+            3 => {
+                if let Some(Json::Obj(fields)) = elements.first_mut() {
+                    fields.push(("x".to_string(), nested(depth)));
+                }
+            }
+            4 => pairs.push(("x".to_string(), nested(depth))),
+            _ => {}
+        }
+        let at = if shape == 2 { pairs.len() } else { 0 };
+        pairs.insert(at, ("tables".to_string(), Json::Arr(elements)));
+        let valid = Json::Obj(pairs).encode().into_bytes();
+        let mut bytes = valid.clone();
+        for (at, which) in &inserts {
+            bytes.insert(at % (bytes.len() + 1), b",]}0123456789"[*which]);
+        }
+        for (at, mask) in &flips {
+            let i = at % bytes.len();
+            bytes[i] ^= mask;
+        }
+        if truncate {
+            bytes.truncate(keep % (bytes.len() + 1));
+        }
+        let decoded = corpus_readings_agree(&bytes)?;
+        // The deepest array sits at depth `depth + 2` under an element and
+        // at `depth` under the document; 96 is the deepest either reading
+        // accepts.
+        let too_deep = match shape {
+            3 => !tables.is_empty() && depth + 2 > 96,
+            4 => depth > 96,
+            _ => false,
+        };
+        if bytes == valid {
+            prop_assert_eq!(decoded, !too_deep);
         }
     }
 }

@@ -5,8 +5,8 @@
 //! downstream payoff of table annotation. All three processors run over
 //! the cell-level [`SearchIndex`] — no extra index is needed, because
 //! `cells_of_entity` / `pairs_of_relation` already give the entity→cell
-//! and relation→column-pair maps, and the index's dense per-table view
-//! gives each cell's entity and each column's type.
+//! and relation→column-pair maps, and the corpus's annotation store
+//! ([`AnnotatedCorpus`]) gives each cell's entity and each column's type.
 //!
 //! * [`populate_rows`] — given seed entities from a partial table's key
 //!   column, find corpus columns containing the seeds and vote for the
@@ -50,6 +50,7 @@ const TYPE_COMPAT_BOOST: f64 = 1.5;
 pub fn populate_rows(
     catalog: &Catalog,
     index: &SearchIndex,
+    corpus: &AnnotatedCorpus,
     seeds: &[EntityId],
     k: usize,
 ) -> Vec<RankedAnswer> {
@@ -64,8 +65,10 @@ pub fn populate_rows(
 
     // Dominant annotated type over the seed columns (most supporting
     // columns; smaller TypeId on ties, for determinism).
-    let mut types: Vec<TypeId> =
-        seed_cols.iter().filter_map(|&(t, c, _)| index.column_type(t, c)).collect();
+    let mut types: Vec<TypeId> = seed_cols
+        .iter()
+        .filter_map(|&(t, c, _)| corpus.column_type(t as usize, c as usize))
+        .collect();
     types.sort_unstable();
     let dominant: Option<TypeId> = runs(&types, |&ty| ty)
         .max_by(|a, b| a.len().cmp(&b.len()).then(b[0].cmp(&a[0])))
@@ -77,7 +80,7 @@ pub fn populate_rows(
     let mut evidence: Vec<(EntityId, f64)> = Vec::new();
     for &(t, c, hits) in &seed_cols {
         let support = hits as f64 / n_seeds;
-        for e in index.column_entities(t, c) {
+        for e in corpus.column_entities(t as usize, c as usize) {
             if seed_set.binary_search(&e).is_err() {
                 evidence.push((e, support));
             }
@@ -124,12 +127,13 @@ pub fn populate_columns(
     let mut evidence: Vec<((u32, Option<TypeId>), f64)> = Vec::new();
     for (t, c, hits) in seed_columns(index, &seed_set) {
         let support = hits as f64 / n_seeds;
-        for c2 in 0..corpus.tables[t as usize].num_cols() as u16 {
-            if c2 == c {
+        let t = t as usize;
+        for c2 in 0..corpus.tables[t].num_cols() {
+            if c2 == c as usize {
                 continue;
             }
-            let Some(label) = index.column_label(t, c2) else { continue };
-            let ty = index.column_type(t, c2).filter(|ty| {
+            let Some(label) = index.column_label(corpus.column_slot(t, c2)) else { continue };
+            let ty = corpus.column_type(t, c2).filter(|ty| {
                 // Foreign annotations (ids outside this catalog) are kept
                 // out of suggestions — their names can't be resolved.
                 ty.index() < catalog.num_types()
@@ -191,7 +195,7 @@ pub fn related_search(
         // `answer_col`.
         let mut collect = |given: u16, answer_col: u16| {
             for &(_, _, r) in run_of(cells, given, |&(_, c, _)| c) {
-                vote_row(index, corpus, t, r, answer_col, &mut evidence);
+                vote_row(corpus, t, r, answer_col, &mut evidence);
             }
         };
         for &(_, c_left, c_right) in run_of(pairs, t, |&(t, _, _)| t) {
@@ -245,20 +249,20 @@ mod tests {
 
     #[test]
     fn row_population_suggests_unseen_movies() {
-        let (w, _, index) = searchable_world();
+        let (w, corpus, index) = searchable_world();
         let movies = annotated_movies(&w, &index);
         assert!(movies.len() >= 3, "world too small for the test: {movies:?}");
         let seeds = &movies[..2];
-        let res = populate_rows(&w.catalog, &index, seeds, 10);
+        let res = populate_rows(&w.catalog, &index, &corpus, seeds, 10);
         assert!(!res.is_empty());
         for a in &res {
             let AnswerKey::Entity(e) = a.key else { panic!("row answers are entities") };
             assert!(!seeds.contains(&e), "seeds must not be suggested back");
         }
         // Deterministic.
-        assert_eq!(res, populate_rows(&w.catalog, &index, seeds, 10));
-        assert!(populate_rows(&w.catalog, &index, &[], 10).is_empty());
-        assert!(populate_rows(&w.catalog, &index, seeds, 0).is_empty());
+        assert_eq!(res, populate_rows(&w.catalog, &index, &corpus, seeds, 10));
+        assert!(populate_rows(&w.catalog, &index, &corpus, &[], 10).is_empty());
+        assert!(populate_rows(&w.catalog, &index, &corpus, seeds, 0).is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use webtable_catalog::Catalog;
-use webtable_core::{AnnotateRequest, Annotator};
+use webtable_core::Annotator;
 use webtable_tables::Table;
 
 use webtable_catalog::{EntityId, RelationId, TypeId};
@@ -133,13 +133,14 @@ impl SearchEngine {
     }
 
     /// The full ingest path: annotates raw tables with `workers` threads
-    /// (via [`Annotator::run`]) and builds the engine over the result.
+    /// (via [`Annotator::run`], a chunk of tables per call, each chunk
+    /// packed into the corpus's annotation store before the next starts)
+    /// and builds the engine over the result. The annotations are those of
+    /// one `run` over every table.
     pub fn from_tables(annotator: &Annotator, tables: Vec<Table>, workers: usize) -> SearchEngine {
-        let annotations =
-            annotator.run(&AnnotateRequest::new(&tables).workers(workers)).annotations;
         SearchEngine::build(
             Arc::clone(&annotator.catalog),
-            AnnotatedCorpus::from_parts(tables, annotations),
+            AnnotatedCorpus::annotate(annotator, tables, workers),
         )
     }
 
@@ -175,7 +176,7 @@ impl SearchEngine {
             }
             Query::Tables { ref keywords, k } => self.tables.search(keywords, k),
             Query::PopulateRows { ref seeds, k } => {
-                populate_rows(&self.catalog, &self.index, seeds, k)
+                populate_rows(&self.catalog, &self.index, &self.corpus, seeds, k)
             }
             Query::PopulateColumns { ref seeds, k } => {
                 populate_columns(&self.catalog, &self.index, &self.corpus, seeds, k)

@@ -8,13 +8,16 @@
 //!   are no cell postings);
 //! * an **annotation layer**: type → annotated columns, relation →
 //!   annotated column pairs (oriented), entity → annotated cells — what
-//!   the typed processors of Figure 4 use — plus a dense per-table view of
-//!   the entity and type decisions, which the augmentation processors scan
-//!   instead of the annotation maps.
+//!   the typed processors of Figure 4 use — plus, per column, the label
+//!   column population suggests it under.
 //!
-//! Every posting list is sorted by table first, so a processor that starts
-//! from one entity's cells finds a table's type columns or relation pairs
-//! by binary search on the table id.
+//! The build reads the corpus's annotation store in storage order (table,
+//! then row and column), so postings come out in that order with no hash
+//! order to undo. A cell's entity and confidence and a column's type are
+//! read from the store itself ([`AnnotatedCorpus`]); the index keeps only
+//! the inverted lists and the labels. Every posting list is sorted by table
+//! first, so a processor that starts from one entity's cells finds a
+//! table's type columns or relation pairs by binary search on the table id.
 
 use std::collections::HashMap;
 
@@ -30,7 +33,7 @@ pub type CellRef = (u32, u32, u16);
 /// Posting: an oriented column pair (left column first).
 pub type PairRef = (u32, u16, u16);
 
-/// Marks a cell or column without an annotation in the dense view.
+/// Marks a column without a suggestion label.
 const NONE: u32 = u32::MAX;
 
 /// The two-layer search index. Immutable after construction.
@@ -49,18 +52,8 @@ pub struct SearchIndex {
     rel_pairs: HashMap<RelationId, Vec<PairRef>>,
     /// entity → cells annotated with it.
     entity_cells: HashMap<EntityId, Vec<CellRef>>,
-    /// The dense view: table `t`'s columns are `column_types[col_start[t]..
-    /// col_start[t + 1]]`, its cells `cell_entities[cell_start[t]..
-    /// cell_start[t + 1]]` row by row, each an id or [`NONE`]. This is the
-    /// part of the dense, ordered `TableAnnotation` ROADMAP.md plans that
-    /// search needs, and goes when that lands. Confidences stay in the
-    /// annotation maps: only the rows that vote in the typed and related
-    /// processors read them.
-    col_start: Vec<u32>,
-    column_types: Vec<u32>,
-    cell_start: Vec<u32>,
-    cell_entities: Vec<u32>,
-    /// Per column, beside `column_types`: the id in `labels` of the label
+    /// Per column, in the corpus's column order (see
+    /// `AnnotatedCorpus::column_slot`): the id in `labels` of the label
     /// column population suggests it under, or [`NONE`].
     column_labels: Vec<u32>,
     /// Distinct suggestion labels.
@@ -71,9 +64,7 @@ impl SearchIndex {
     /// Builds the index over a corpus. The catalog supplies the type DAG
     /// for the build-time subtype expansion of
     /// [`columns_of_type`](SearchIndex::columns_of_type) and the type names
-    /// headerless columns are suggested under. Annotations of cells or
-    /// columns outside their table's grid are left out of the annotation
-    /// layer.
+    /// headerless columns are suggested under.
     pub fn build(corpus: &AnnotatedCorpus, catalog: &Catalog) -> SearchIndex {
         let mut vocab = Vocab::new();
         let mut context_postings: Vec<Vec<u32>> = Vec::new();
@@ -81,10 +72,6 @@ impl SearchIndex {
         let mut type_cols: HashMap<TypeId, Vec<ColRef>> = HashMap::new();
         let mut rel_pairs: HashMap<RelationId, Vec<PairRef>> = HashMap::new();
         let mut entity_cells: HashMap<EntityId, Vec<CellRef>> = HashMap::new();
-        let mut col_start = vec![0u32];
-        let mut column_types = Vec::new();
-        let mut cell_start = vec![0u32];
-        let mut cell_entities = Vec::new();
         let mut column_labels = Vec::new();
         let mut labels = Vocab::new();
 
@@ -114,40 +101,27 @@ impl SearchIndex {
                 }
             }
 
-            // Annotation layer.
-            let ann = &corpus.annotations[ti];
-            let (rows, cols) = (table.num_rows(), table.num_cols());
-            let types = column_types.len();
-            column_types.resize(types + cols, NONE);
-            for (&c, &ty) in &ann.column_types {
-                let Some(ty) = ty.filter(|_| c < cols) else { continue };
-                type_cols.entry(ty).or_default().push((t, c as u16));
-                column_types[types + c] = ty.0;
-            }
-            col_start.push(column_types.len() as u32);
+            // Annotation layer, in storage order.
             for (c, header) in table.headers.iter().enumerate() {
-                let ty = TypeId(column_types[types + c]);
-                let label = match header {
-                    Some(h) => normalize(h),
-                    None if ty.0 != NONE && ty.index() < catalog.num_types() => {
+                let ty = corpus.column_type(ti, c);
+                if let Some(ty) = ty {
+                    type_cols.entry(ty).or_default().push((t, c as u16));
+                }
+                let label = match (header, ty) {
+                    (Some(h), _) => normalize(h),
+                    (None, Some(ty)) if ty.index() < catalog.num_types() => {
                         normalize(catalog.type_name(ty))
                     }
-                    None => String::new(),
+                    (None, _) => String::new(),
                 };
                 column_labels.push(if label.is_empty() { NONE } else { labels.intern(&label) });
             }
-            for (&(c1, c2), &rel) in &ann.relations {
-                let Some(rel) = rel.filter(|_| c1 < cols && c2 < cols) else { continue };
-                rel_pairs.entry(rel).or_default().push((t, c1 as u16, c2 as u16));
+            for &(left, right, rel) in corpus.relations(ti) {
+                rel_pairs.entry(rel).or_default().push((t, left as u16, right as u16));
             }
-            let cells = cell_entities.len();
-            cell_entities.resize(cells + rows * cols, NONE);
-            for (&(r, c), &e) in &ann.cell_entities {
-                let Some(e) = e.filter(|_| r < rows && c < cols) else { continue };
+            for (r, c, e) in corpus.entities(ti) {
                 entity_cells.entry(e).or_default().push((t, r as u32, c as u16));
-                cell_entities[cells + r * cols + c] = e.0;
             }
-            cell_start.push(cell_entities.len() as u32);
         }
         // Subtype expansion, once, at build time: a column annotated
         // `film` must answer queries for `work` too. Every ancestor of an
@@ -165,16 +139,10 @@ impl SearchIndex {
                 expanded.entry(t).or_default().extend_from_slice(cols);
             }
         }
+        // The merge interleaves subtypes' postings; the relation and
+        // entity postings came out of the store already in order.
         let mut type_cols = expanded;
-
-        // Deterministic ordering for annotation postings.
         for v in type_cols.values_mut() {
-            v.sort_unstable();
-        }
-        for v in rel_pairs.values_mut() {
-            v.sort_unstable();
-        }
-        for v in entity_cells.values_mut() {
             v.sort_unstable();
         }
         SearchIndex {
@@ -184,10 +152,6 @@ impl SearchIndex {
             type_cols,
             rel_pairs,
             entity_cells,
-            col_start,
-            column_types,
-            cell_start,
-            cell_entities,
             column_labels,
             labels,
         }
@@ -229,45 +193,19 @@ impl SearchIndex {
         self.entity_cells.get(&e).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The type annotated on column `c` of table `t`.
-    pub(crate) fn column_type(&self, t: u32, c: u16) -> Option<TypeId> {
-        let id = self.column_types[self.col_start[t as usize] as usize + c as usize];
-        (id != NONE).then_some(TypeId(id))
-    }
-
-    /// The label column population suggests column `c` of table `t` under:
+    /// The label column population suggests a column under, by its
+    /// position among the corpus's columns (`AnnotatedCorpus::column_slot`):
     /// its normalized header, or for a headerless column the normalized
     /// name of its type in the catalog the index was built with. `None`
     /// when that leaves nothing (headerless and untyped, or blank).
-    pub(crate) fn column_label(&self, t: u32, c: u16) -> Option<u32> {
-        let id = self.column_labels[self.col_start[t as usize] as usize + c as usize];
+    pub(crate) fn column_label(&self, slot: usize) -> Option<u32> {
+        let id = self.column_labels[slot];
         (id != NONE).then_some(id)
     }
 
     /// The text of a [`column_label`](SearchIndex::column_label) id.
     pub(crate) fn label(&self, id: u32) -> &str {
         self.labels.word(id).expect("label ids come from this index")
-    }
-
-    /// The entity annotated on cell `(r, c)` of table `t`.
-    pub(crate) fn entity_at(&self, t: u32, r: u32, c: u16) -> Option<EntityId> {
-        let width = self.col_start[t as usize + 1] - self.col_start[t as usize];
-        let id =
-            self.cell_entities[(self.cell_start[t as usize] + r * width) as usize + c as usize];
-        (id != NONE).then_some(EntityId(id))
-    }
-
-    /// The entities annotated on column `c` of table `t`, top to bottom.
-    pub(crate) fn column_entities(&self, t: u32, c: u16) -> impl Iterator<Item = EntityId> + '_ {
-        let width = (self.col_start[t as usize + 1] - self.col_start[t as usize]) as usize;
-        let cells = &self.cell_entities
-            [self.cell_start[t as usize] as usize..self.cell_start[t as usize + 1] as usize];
-        cells
-            .iter()
-            .skip(c as usize)
-            .step_by(width.max(1))
-            .filter(|&&id| id != NONE)
-            .map(|&id| EntityId(id))
     }
 }
 
@@ -326,27 +264,37 @@ mod tests {
     }
 
     #[test]
-    fn dense_view_matches_the_annotation_maps() {
-        let mut corpus = tiny_corpus();
-        // Decisions outside the 2×2 grid stay out of the annotation layer.
-        corpus.annotations[0].cell_entities.insert((2, 0), Some(EntityId(300)));
-        corpus.annotations[0].cell_entities.insert((0, 2), Some(EntityId(300)));
-        corpus.annotations[0].column_types.insert(2, Some(TypeId(30)));
-        corpus.annotations[0].relations.insert((1, 2), Some(RelationId(6)));
+    fn labels_and_postings_follow_the_store() {
+        let t0 = Table::new(
+            TableId(0),
+            "",
+            vec![Some("Film".into()), Some("Director".into())],
+            vec![vec!["Heat".into(), "Mann".into()], vec!["Alien".into(), "Scott".into()]],
+        );
+        let mut ann = TableAnnotation::default();
+        ann.cell_entities.insert((0, 0), Some(EntityId(100)));
+        ann.cell_entities.insert((1, 0), Some(EntityId(100)));
+        // Decisions outside the 2×2 grid never reach the store.
+        ann.cell_entities.insert((2, 0), Some(EntityId(300)));
+        ann.cell_entities.insert((0, 2), Some(EntityId(300)));
+        ann.column_types.insert(2, Some(TypeId(30)));
+        ann.relations.insert((1, 2), Some(RelationId(6)));
+        // A headerless column typed in the catalog is suggested under the
+        // type's name; an untyped one under nothing.
+        let t1 = Table::new(TableId(1), "", vec![None, None], vec![vec!["x".into(), "y".into()]]);
+        let mut ann1 = TableAnnotation::default();
+        ann1.column_types.insert(0, Some(TypeId(0)));
+        let corpus = AnnotatedCorpus::from_parts(vec![t0, t1], vec![ann, ann1]);
         let idx = SearchIndex::build(&corpus, &tiny_catalog());
-        assert_eq!(idx.column_type(0, 0), Some(TypeId(10)));
-        assert_eq!(idx.column_type(0, 1), Some(TypeId(20)));
-        assert_eq!(idx.entity_at(0, 0, 0), Some(EntityId(100)));
-        assert_eq!(idx.entity_at(0, 0, 1), Some(EntityId(200)));
-        assert_eq!(idx.entity_at(0, 1, 0), None, "an `na` decision");
-        assert_eq!(idx.entity_at(0, 1, 1), None, "no decision");
-        assert_eq!(idx.column_entities(0, 0).collect::<Vec<_>>(), [EntityId(100)]);
-        assert_eq!(idx.column_entities(0, 1).collect::<Vec<_>>(), [EntityId(200)]);
-        assert_eq!(idx.column_label(0, 0).map(|id| idx.label(id)), Some("film"));
-        assert_eq!(idx.column_label(0, 1).map(|id| idx.label(id)), Some("director"));
+        assert_eq!(idx.cells_of_entity(EntityId(100)), &[(0, 0, 0), (0, 1, 0)]);
         assert!(idx.cells_of_entity(EntityId(300)).is_empty());
         assert!(idx.columns_of_type(TypeId(30)).is_empty());
         assert!(idx.pairs_of_relation(RelationId(6)).is_empty());
+        let label = |t, c| idx.column_label(corpus.column_slot(t, c)).map(|id| idx.label(id));
+        assert_eq!(label(0, 0), Some("film"));
+        assert_eq!(label(0, 1), Some("director"));
+        assert_eq!(label(1, 0), Some("thing"));
+        assert_eq!(label(1, 1), None);
     }
 
     #[test]

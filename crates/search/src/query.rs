@@ -187,7 +187,7 @@ pub(crate) fn typed_search_impl(
         // Rows where the given column c2 holds E2, for answer column c1.
         let mut visit = |c1: u16, c2: u16| {
             for &(_, _, r) in run_of(cells, c2, |&(_, c, _)| c) {
-                vote_row(index, corpus, t, r, c1, &mut evidence);
+                vote_row(corpus, t, r, c1, &mut evidence);
             }
         };
         if use_relations {
@@ -214,26 +214,24 @@ pub(crate) fn typed_search_impl(
 /// evidence in favor of known entities"). Shared by the typed and related
 /// processors.
 pub(crate) fn vote_row(
-    index: &SearchIndex,
     corpus: &AnnotatedCorpus,
     t: u32,
     r: u32,
     c: u16,
     evidence: &mut Vec<(AnswerKey, f64)>,
 ) {
-    let answer = match index.entity_at(t, r, c) {
+    let (t, r, c) = (t as usize, r as usize, c as usize);
+    let answer = match corpus.entity(t, r, c) {
         Some(e) => AnswerKey::Entity(e),
         None => {
-            let text = corpus.tables[t as usize].cell(r as usize, c as usize).trim().to_lowercase();
+            let text = corpus.tables[t].cell(r, c).trim().to_lowercase();
             if text.is_empty() {
                 return;
             }
             AnswerKey::Text(text)
         }
     };
-    let ann = &corpus.annotations[t as usize];
-    let conf = ann.cell_confidence.get(&(r as usize, c as usize)).copied().unwrap_or(0.0);
-    evidence.push((answer, 1.0 + conf.min(2.0)));
+    evidence.push((answer, 1.0 + corpus.confidence(t, r, c).min(2.0)));
 }
 
 /// An entity's cells as `(table, column, row)`, sorted: per table, the

@@ -7,12 +7,19 @@
 //! stream is the table's context, headers, cell text, **and annotation
 //! labels** (type names of column annotations, relation names of pair
 //! annotations, canonical entity names of cell annotations — the signal
-//! the annotator added to the raw strings). Postings are stored in the
-//! same CSR shape as `crates/text` (one offset table, flat value/weight
-//! arrays) with a per-token upper bound beside each row, so the query
-//! loop can stop admitting new candidate tables WAND-style once the
-//! remaining upper-bound mass cannot lift an unseen table into the
-//! top-k.
+//! the annotator added to the raw strings). The labels are read from the
+//! corpus's annotation store ([`AnnotatedCorpus`]) in storage order —
+//! columns, then relations by (left, right), then cells row by row — which
+//! fixes token ids, and with them the order each table's norm is summed
+//! in, without a sort. The store holds only decisions inside a table's
+//! grid, so an annotation outside it (the annotator never makes one)
+//! contributes no label.
+//!
+//! Postings are stored in the same CSR shape as `crates/text` (one offset
+//! table, flat value/weight arrays) with a per-token upper bound beside
+//! each row, so the query loop can stop admitting new candidate tables
+//! WAND-style once the remaining upper-bound mass cannot lift an unseen
+//! table into the top-k.
 //!
 //! Scoring is IDF-weighted cosine with a binary query vector: a stored
 //! posting weight is `(1 + ln tf) · idf(token) / ‖table‖`, and a table's
@@ -80,18 +87,18 @@ impl TableIndex {
                     add(&mut vocab, cell);
                 }
             }
-            let ann = &corpus.annotations[ti];
-            for ty in in_key_order(&ann.column_types) {
+            // Annotation labels in storage order, which is key order.
+            for ty in (0..table.num_cols()).filter_map(|c| corpus.column_type(ti, c)) {
                 if ty.index() < catalog.num_types() {
                     add(&mut vocab, catalog.type_name(ty));
                 }
             }
-            for rel in in_key_order(&ann.relations) {
+            for &(_, _, rel) in corpus.relations(ti) {
                 if rel.index() < catalog.num_relations() {
                     add(&mut vocab, catalog.relation_name(rel));
                 }
             }
-            for e in in_key_order(&ann.cell_entities) {
+            for (_, _, e) in corpus.entities(ti) {
                 if e.index() < catalog.num_entities() {
                     add(&mut vocab, catalog.entity_name(e));
                 }
@@ -228,15 +235,6 @@ impl TableIndex {
             k,
         )
     }
-}
-
-/// The non-`na` decisions of an annotation map, in key order: label
-/// interning order decides token ids and with them the order each table's
-/// norm is summed in, so hash order must not reach it.
-fn in_key_order<K: Ord + Copy, V: Copy>(map: &HashMap<K, Option<V>>) -> Vec<V> {
-    let mut decisions: Vec<(K, V)> = map.iter().filter_map(|(&k, &v)| Some((k, v?))).collect();
-    decisions.sort_unstable_by_key(|&(k, _)| k);
-    decisions.into_iter().map(|(_, v)| v).collect()
 }
 
 #[cfg(test)]

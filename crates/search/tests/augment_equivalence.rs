@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use webtable_catalog::{generate_world, EntityId, RelationId, TypeId, WorldConfig};
-use webtable_core::{Annotator, TableAnnotation};
+use webtable_core::{AnnotateRequest, Annotator, TableAnnotation};
 use webtable_search::wire::{decode_answers, decode_query, encode_answers, encode_query};
 use webtable_search::{
     build_workload, AnnotatedCorpus, AnswerKey, Query, RankedAnswer, SearchEngine, TableIndex,
@@ -86,25 +86,21 @@ fn rebuilds_are_byte_identical() {
     let w = generate_world(&WorldConfig { seed: 42, ..Default::default() }).unwrap();
     let annotator = Annotator::new(Arc::clone(&w.catalog));
     let mut g = TableGenerator::new(&w, NoiseConfig::web(), TruthMask::full(), 42);
-    let tables = g.gen_corpus(40, 10).into_iter().map(|lt| lt.table).collect();
-    let engine = SearchEngine::from_tables(&annotator, tables, 2);
-    let corpus = engine.corpus();
-    let mut linked: Vec<EntityId> = corpus
-        .annotations
-        .iter()
-        .flat_map(|a| a.cell_entities.values().flatten().copied())
-        .collect();
+    let tables: Vec<Table> = g.gen_corpus(40, 10).into_iter().map(|lt| lt.table).collect();
+    let annotations = annotator.run(&AnnotateRequest::new(&tables).workers(2)).annotations;
+    let corpus = AnnotatedCorpus::from_parts(tables, annotations.clone());
+    let mut linked: Vec<EntityId> =
+        annotations.iter().flat_map(|a| a.cell_entities.values().flatten().copied()).collect();
     linked.sort_unstable();
     linked.dedup();
     linked.truncate(300);
     let table_bits = |index: &TableIndex| -> Vec<Vec<(AnswerKey, u64)>> {
         linked.iter().map(|&e| score_bits(index.search(w.catalog.entity_name(e), 10))).collect()
     };
-    let want = table_bits(&TableIndex::build(corpus, &w.catalog));
+    let want = table_bits(&TableIndex::build(&corpus, &w.catalog));
     for round in 0..20 {
         // Collecting into fresh maps gives every copy its own hash seed.
-        let annotations = corpus
-            .annotations
+        let annotations = annotations
             .iter()
             .map(|a| TableAnnotation {
                 cell_entities: a.cell_entities.iter().map(|(&k, &v)| (k, v)).collect(),

@@ -8,13 +8,15 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use webtable_catalog::{Catalog, EntityId, RelationId, TypeId, World};
-use webtable_core::Annotator;
+use webtable_core::{AnnotateRequest, Annotator, TableAnnotation};
 use webtable_search::wire::{decode_query, encode_query};
-use webtable_search::{ColRef, EntityQuery, JoinQuery, Query, SearchEngine};
+use webtable_search::{AnnotatedCorpus, ColRef, EntityQuery, JoinQuery, Query, SearchEngine};
 use webtable_tables::{NoiseConfig, TableGenerator, TruthMask};
 
-fn fixture() -> &'static (World, SearchEngine) {
-    static FIXTURE: OnceLock<(World, SearchEngine)> = OnceLock::new();
+/// The world, an engine over the annotated tables, and the annotator's
+/// own output, which the reference reads.
+fn fixture() -> &'static (World, SearchEngine, Vec<TableAnnotation>) {
+    static FIXTURE: OnceLock<(World, SearchEngine, Vec<TableAnnotation>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let w = webtable_catalog::generate_world(&webtable_catalog::WorldConfig::tiny(43)).unwrap();
         let annotator = Annotator::new(Arc::clone(&w.catalog));
@@ -26,15 +28,19 @@ fn fixture() -> &'static (World, SearchEngine) {
         for _ in 0..6 {
             tables.push(g.gen_table_for_relation(w.relations.born_in, 10).table);
         }
-        let engine = SearchEngine::from_tables(&annotator, tables, 2);
-        (w, engine)
+        let annotations = annotator.run(&AnnotateRequest::new(&tables).workers(2)).annotations;
+        let engine = SearchEngine::build(
+            Arc::clone(&w.catalog),
+            AnnotatedCorpus::from_parts(tables, annotations.clone()),
+        );
+        (w, engine, annotations)
     })
 }
 
 /// The pre-PR-5 `columns_of_type`, reimplemented verbatim as the oracle:
 /// scan every annotated type, test subtype-hood, merge, sort.
 fn columns_of_type_reference(
-    engine: &SearchEngine,
+    annotations: &[TableAnnotation],
     catalog: &Catalog,
     query_type: TypeId,
 ) -> Vec<ColRef> {
@@ -46,7 +52,7 @@ fn columns_of_type_reference(
             // exactly the raw annotated set when t has no subtypes; use
             // the corpus annotations directly to stay independent of the
             // index internals.
-            for (table_i, ann) in engine.corpus().annotations.iter().enumerate() {
+            for (table_i, ann) in annotations.iter().enumerate() {
                 for (&c, &ty) in &ann.column_types {
                     if ty == Some(t) {
                         out.push((table_i as u32, c as u16));
@@ -61,12 +67,12 @@ fn columns_of_type_reference(
 
 #[test]
 fn precomputed_type_postings_match_subtype_scan() {
-    let (w, engine) = fixture();
+    let (w, engine, annotations) = fixture();
     let catalog = &w.catalog;
     let mut nonempty = 0usize;
     for ti in 0..catalog.num_types() {
         let t = TypeId(ti as u32);
-        let want = columns_of_type_reference(engine, catalog, t);
+        let want = columns_of_type_reference(annotations, catalog, t);
         let got = engine.index().columns_of_type(t);
         assert_eq!(got, want.as_slice(), "type {ti}");
         nonempty += usize::from(!want.is_empty());
@@ -85,7 +91,7 @@ proptest! {
         use_relations in any::<bool>(),
         k in 1usize..20,
     ) {
-        let (w, engine) = fixture();
+        let (w, engine, _) = fixture();
         let cat = &w.catalog;
         let past = Cell::new(false);
         // Id `i` comes from the whole `u32` range or from below `n`.

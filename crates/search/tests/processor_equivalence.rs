@@ -18,20 +18,28 @@
 use std::sync::{Arc, OnceLock};
 
 use webtable_catalog::{generate_world, EntityId, RelationId, World, WorldConfig};
-use webtable_core::{Annotator, TableAnnotation};
+use webtable_core::{AnnotateRequest, Annotator, TableAnnotation};
 use webtable_search::{AnnotatedCorpus, AnswerKey, EntityQuery, JoinQuery, Query, SearchEngine};
-use webtable_tables::{LabeledTable, NoiseConfig, ReusePolicy, TableGenerator, TruthMask};
+use webtable_tables::{LabeledTable, NoiseConfig, ReusePolicy, Table, TableGenerator, TruthMask};
 
 /// The seven processors before this plan, verbatim.
 mod reference {
     use std::collections::{BTreeSet, HashMap, HashSet};
 
     use webtable_catalog::{Catalog, EntityId, RelationId, TypeId};
+    use webtable_core::TableAnnotation;
     use webtable_search::{
-        AnnotatedCorpus, AnswerKey, ColRef, EntityQuery, JoinQuery, Query, RankedAnswer,
-        SearchIndex,
+        AnswerKey, ColRef, EntityQuery, JoinQuery, Query, RankedAnswer, SearchIndex,
     };
+    use webtable_tables::Table;
     use webtable_text::{normalize, to_sorted_set, tokenize, Vocab};
+
+    /// The corpus as these processors read it: the tables and the
+    /// annotator's maps.
+    pub struct AnnotatedCorpus<'a> {
+        pub tables: &'a [Table],
+        pub annotations: &'a [TableAnnotation],
+    }
 
     /// `SearchEngine::search`'s dispatch and join projection, over the
     /// processors below.
@@ -689,13 +697,26 @@ mod reference {
     }
 }
 
-/// The world, its generated corpus, and an engine over the annotated
-/// corpus — the benchmark's `search` shape at a few hundred tables.
+/// The world, its generated corpus, the annotator's output for it, and an
+/// engine over the annotated corpus — the benchmark's `search` shape at a
+/// few hundred tables. The engine reads its annotation store; the
+/// reference reads the annotator's maps.
 struct Fixture {
     world: World,
     corpus: Vec<LabeledTable>,
+    annotator: Annotator,
+    annotations: Vec<TableAnnotation>,
     engine: SearchEngine,
     tables: reference::TableIndex,
+}
+
+impl Fixture {
+    fn reference_corpus(&self) -> reference::AnnotatedCorpus<'_> {
+        reference::AnnotatedCorpus {
+            tables: &self.engine.corpus().tables,
+            annotations: &self.annotations,
+        }
+    }
 }
 
 fn fixture() -> &'static Fixture {
@@ -709,10 +730,15 @@ fn fixture() -> &'static Fixture {
                 .gen_corpus_iter(300, 8, skew)
                 .collect();
         let annotator = Annotator::new(Arc::clone(&world.catalog));
-        let tables = corpus.iter().map(|lt| lt.table.clone()).collect();
-        let engine = SearchEngine::from_tables(&annotator, tables, 2);
-        let tables = reference::TableIndex::build(engine.corpus(), engine.catalog());
-        Fixture { world, corpus, engine, tables }
+        let tables: Vec<Table> = corpus.iter().map(|lt| lt.table.clone()).collect();
+        let annotations = annotator.run(&AnnotateRequest::new(&tables).workers(2)).annotations;
+        let reference = reference::AnnotatedCorpus { tables: &tables, annotations: &annotations };
+        let tables_index = reference::TableIndex::build(&reference, &world.catalog);
+        let engine = SearchEngine::build(
+            Arc::clone(&world.catalog),
+            AnnotatedCorpus::from_parts(tables, annotations.clone()),
+        );
+        Fixture { world, corpus, annotator, annotations, engine, tables: tables_index }
     })
 }
 
@@ -937,7 +963,7 @@ fn processors_match_the_reference_bit_for_bit() {
             let want = bits(reference::search(
                 engine.catalog(),
                 engine.index(),
-                engine.corpus(),
+                &fx.reference_corpus(),
                 tables,
                 &q,
             ));
@@ -961,8 +987,7 @@ fn processors_match_the_reference_bit_for_bit() {
 #[test]
 fn three_seed_population_is_reproducible() {
     let fx = fixture();
-    let corpus = fx.engine.corpus();
-    let annotations = corpus
+    let annotations = fx
         .annotations
         .iter()
         .map(|a| TableAnnotation {
@@ -976,7 +1001,7 @@ fn three_seed_population_is_reproducible() {
         .collect();
     let other = SearchEngine::build(
         Arc::clone(fx.engine.catalog()),
-        AnnotatedCorpus::from_parts(corpus.tables.clone(), annotations),
+        AnnotatedCorpus::from_parts(fx.engine.corpus().tables.clone(), annotations),
     );
     let mut rng = Rng(7);
     let draw = Draw::new(fx, &mut rng);
@@ -996,4 +1021,55 @@ fn three_seed_population_is_reproducible() {
         }
     }
     assert!(with_answers > 200, "only {with_answers} of 300 answered");
+}
+
+/// `SearchEngine::from_tables` annotates a chunk of 256 tables per
+/// `Annotator::run`. Over the fixture's 300 tables (two chunks) it stores
+/// what packing one `run` over every table stores — every entity, column
+/// type and relation, and every confidence's bits — and both stores agree
+/// with the annotator's maps, which hold no decision outside a table's
+/// grid. Its answers are the fixture engine's, bit for bit.
+#[test]
+fn chunked_annotation_stores_what_one_run_stores() {
+    let fx = fixture();
+    let engine = SearchEngine::from_tables(&fx.annotator, fx.engine.corpus().tables.clone(), 2);
+    let (chunked, whole) = (engine.corpus(), fx.engine.corpus());
+    assert_eq!(whole.len(), 300);
+    assert_eq!(chunked.tables, whole.tables);
+    for (t, (table, ann)) in whole.tables.iter().zip(&fx.annotations).enumerate() {
+        let (rows, cols) = (table.num_rows(), table.num_cols());
+        assert!(ann.column_types.keys().all(|&c| c < cols), "table {t}");
+        assert!(ann.cell_entities.keys().all(|&(r, c)| r < rows && c < cols), "table {t}");
+        assert!(ann.cell_confidence.keys().all(|&(r, c)| r < rows && c < cols), "table {t}");
+        assert!(ann.relations.keys().all(|&(a, b)| a < cols && b < cols), "table {t}");
+        for c in 0..cols {
+            let ty = ann.column_types.get(&c).copied().flatten();
+            for store in [whole, chunked] {
+                assert_eq!(store.column_type(t, c), ty, "table {t} column {c}");
+            }
+            for r in 0..rows {
+                let entity = ann.cell_entities.get(&(r, c)).copied().flatten();
+                let conf = ann.cell_confidence.get(&(r, c)).copied().unwrap_or(0.0).to_bits();
+                for store in [whole, chunked] {
+                    assert_eq!(store.entity(t, r, c), entity, "table {t} cell ({r}, {c})");
+                    assert_eq!(store.confidence(t, r, c).to_bits(), conf, "table {t} ({r}, {c})");
+                }
+            }
+        }
+        let mut relations: Vec<(u32, u32, RelationId)> = ann
+            .relations
+            .iter()
+            .filter_map(|(&(a, b), &rel)| Some((a as u32, b as u32, rel?)))
+            .collect();
+        relations.sort_unstable();
+        assert_eq!(whole.relations(t), relations, "table {t}");
+        assert_eq!(chunked.relations(t), relations, "table {t}");
+    }
+    let mut rng = Rng(11);
+    let draw = Draw::new(fx, &mut rng);
+    for _ in 0..300 {
+        for q in draw.sample(&mut rng) {
+            assert!(bits(engine.search(&q)) == bits(fx.engine.search(&q)), "{q:?}");
+        }
+    }
 }

@@ -119,12 +119,9 @@ fn write_sample_retrieval_queries(
     // distinct machine-annotated entities — the remaining entities in
     // that column are guaranteed suggestions.
     let mut seeds: Vec<EntityId> = Vec::new();
-    'outer: for (ti, ann) in corpus.annotations.iter().enumerate() {
-        let table = &corpus.tables[ti];
+    'outer: for (ti, table) in corpus.tables.iter().enumerate() {
         for c in 0..table.num_cols() {
-            let mut ents: Vec<EntityId> = (0..table.num_rows())
-                .filter_map(|r| ann.cell_entities.get(&(r, c)).copied().flatten())
-                .collect();
+            let mut ents: Vec<EntityId> = corpus.column_entities(ti, c).collect();
             ents.sort_unstable();
             ents.dedup();
             if ents.len() >= 3 {
@@ -147,11 +144,10 @@ fn write_sample_retrieval_queries(
     // otherwise fall back to a seed, still a well-formed body.
     let mut entity = seeds[0];
     'pairs: for &(t, c_left, c_right) in engine.index().pairs_of_relation(directed) {
-        let ann = &corpus.annotations[t as usize];
         for r in 0..corpus.tables[t as usize].num_rows() {
             for c in [c_left, c_right] {
-                if let Some(Some(e)) = ann.cell_entities.get(&(r, c as usize)) {
-                    entity = *e;
+                if let Some(e) = corpus.entity(t as usize, r, c as usize) {
+                    entity = e;
                     break 'pairs;
                 }
             }

@@ -83,10 +83,13 @@ pub fn read_request<R: Read>(stream: R) -> Result<Option<Request>, HttpError> {
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                let parsed: usize = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::bad(format!("bad content-length: {value}")))?;
+                // RFC 9110 §8.6: 1*DIGIT. `str::parse` would also take a
+                // sign, reading `+4` as 4.
+                let digits = value.trim();
+                let parsed = match digits.parse::<usize>() {
+                    Ok(n) if digits.bytes().all(|b| b.is_ascii_digit()) => n,
+                    _ => return Err(HttpError::bad(format!("bad content-length: {value}"))),
+                };
                 // Repeated equal values are harmless; conflicting ones
                 // mean request smuggling or a confused client — reject.
                 if content_length.is_some_and(|prev| prev != parsed) {
@@ -254,6 +257,20 @@ mod tests {
         assert_eq!(err.status, 400);
         assert_eq!(err.code, "bad_request");
         assert!(err.message.contains("conflicting content-length"));
+    }
+
+    #[test]
+    fn content_length_is_digits_only() {
+        for value in ["+4", "0x4", "-4", "4 4", "", "４"] {
+            let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {value}\r\n\r\nabcd");
+            let err = read_request(raw.as_bytes()).unwrap_err();
+            assert_eq!((err.status, err.code), (400, "bad_request"), "{value:?}");
+        }
+        // A signed copy of a valid length is not an equal repeat.
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: +4\r\n\r\nabcd";
+        assert_eq!(read_request(raw.as_slice()).unwrap_err().status, 400);
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length:  004\t\r\n\r\nabcd";
+        assert_eq!(read_request(raw.as_slice()).unwrap().unwrap().body, "abcd");
     }
 
     #[test]

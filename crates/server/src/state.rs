@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use webtable_core::wire::{table_from_json, Json};
+use webtable_core::wire::{decode_corpus, Json};
 use webtable_core::{Annotator, CellCandidateCache};
 use webtable_search::SearchEngine;
 use webtable_tables::Table;
@@ -50,17 +50,12 @@ pub struct Generation {
     pub cache: CellCandidateCache,
 }
 
-/// Parses a corpus file: `{"tables":[...]}` in the core wire format.
-/// Malformed content is a [`ServeError::Corpus`] — the data dir is
-/// broken, not the client.
+/// Parses a corpus file: `{"tables":[...]}` in the core wire format,
+/// one table at a time ([`decode_corpus`]), so the file never exists as a
+/// whole JSON document in memory. Malformed content is a
+/// [`ServeError::Corpus`] — the data dir is broken, not the client.
 pub fn tables_from_wire(text: &str) -> Result<Vec<Table>, ServeError> {
-    let corpus_err = |e: &dyn std::fmt::Display| ServeError::Corpus(e.to_string());
-    let doc = Json::parse(text).map_err(|e| corpus_err(&e))?;
-    let arr = doc
-        .get("tables")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ServeError::Corpus("corpus file has no \"tables\" array".into()))?;
-    arr.iter().map(|t| table_from_json(t).map_err(|e| corpus_err(&e))).collect()
+    decode_corpus(text).map_err(|e| ServeError::Corpus(e.to_string()))
 }
 
 /// Renders a corpus file (inverse of [`tables_from_wire`]).
@@ -142,6 +137,9 @@ pub fn load_manifest(
     let text = String::from_utf8(table_bytes)
         .map_err(|_| ServeError::Corpus(format!("{} is not UTF-8", tables_path.display())))?;
     let tables = tables_from_wire(&text)?;
+    // The file text is not needed past the decode; freeing it here keeps
+    // it out of the load's peak, which the annotation pass sets.
+    drop(text);
     let engine = SearchEngine::from_tables(&annotator, tables, workers);
     fault::hit(FaultPoint::GenerationBuild).map_err(|source| ServeError::Io {
         context: "finalizing generation build".into(),
